@@ -18,6 +18,7 @@
 #include "gtest/gtest.h"
 #include "src/api/scale.h"
 #include "src/base/atomic_file.h"
+#include "src/harness/journal.h"
 #include "src/harness/shutdown.h"
 
 namespace elsc {
@@ -55,6 +56,63 @@ std::string FreshPrefix(const ScaleConfig& config, const std::string& name) {
   const std::string prefix = ::testing::TempDir() + "/elsc_ckpt_" + name;
   RemoveCheckpointSegments(prefix, ScaleConfigFingerprint(config));
   return prefix;
+}
+
+// Literal goldens recorded before the federation refactor: a change that
+// shifts the digest identically at every shard count slips past the
+// cross-shard comparisons, but not past these.
+constexpr char kTinyGoldenSignature[] =
+    "scale:c841c69f52733884|nodes:4|windows:6|sent:64|delivered:256|"
+    "beacons:4/4|drops:0+0|peak_tasks:67|peak_arena:98368|"
+    "elapsed:0x1.eb851eb851eb8p-5|completed:1";
+constexpr char kChaosGoldenSignature[] =
+    "scale:943b2a960e3fe830|nodes:4|windows:13|sent:96|delivered:384|"
+    "beacons:9/8|drops:0+0|peak_tasks:66|peak_arena:98368|"
+    "elapsed:0x1.0a3d70a3d70a4p-3|completed:1|crashes:3|restarts:3|"
+    "degraded:4|lost:1|retx:7+0|dupdrop:5|acks:8/5|"
+    "goodput:0x1.713b13b13b13bp+11";
+// FNV-1a 64 of the exact bytes of the one segment a stop_after_window = 3
+// run writes: pins the v1 segment format, record order and all.
+constexpr uint64_t kTinySegmentW3Fnv = 0x649e7218abdcaf9fULL;
+constexpr uint64_t kChaosSegmentW3Fnv = 0x3d27331693deddb3ULL;
+
+uint64_t SegmentFnvAtWindow3(ScaleConfig config, const std::string& name,
+                             int shards) {
+  config.ckpt.path = FreshPrefix(config, name);
+  config.ckpt.every = 0;  // Forced-only: exactly one segment.
+  config.ckpt.stop_after_window = 3;
+  EXPECT_FALSE(RunShardedVolano(config, shards).completed);
+  const uint64_t fp = ScaleConfigFingerprint(config);
+  const auto segments = ListCheckpointSegments(config.ckpt.path, fp);
+  std::string contents;
+  EXPECT_EQ(segments.size(), 1u);
+  if (!segments.empty()) {
+    EXPECT_TRUE(ReadFileToString(segments[0].path, &contents));
+  }
+  RemoveCheckpointSegments(config.ckpt.path, fp);
+  return RunJournal::Fingerprint(contents);
+}
+
+TEST(ScaleCkptTest, GoldenSignaturesArePinned) {
+  for (const int shards : {1, 2}) {
+    EXPECT_EQ(ScaleRunSignature(RunShardedVolano(TinyConfig(), shards)),
+              kTinyGoldenSignature)
+        << "shards=" << shards;
+    EXPECT_EQ(ScaleRunSignature(RunShardedVolano(ChaosConfig(), shards)),
+              kChaosGoldenSignature)
+        << "shards=" << shards;
+  }
+}
+
+TEST(ScaleCkptTest, SegmentBytesArePinned) {
+  for (const int shards : {1, 2}) {
+    EXPECT_EQ(SegmentFnvAtWindow3(TinyConfig(), "pin_tiny", shards),
+              kTinySegmentW3Fnv)
+        << std::hex << "shards=" << shards;
+    EXPECT_EQ(SegmentFnvAtWindow3(ChaosConfig(), "pin_chaos", shards),
+              kChaosSegmentW3Fnv)
+        << std::hex << "shards=" << shards;
+  }
 }
 
 TEST(ScaleCkptTest, FingerprintCoversScenarioNotExecution) {
@@ -111,8 +169,14 @@ TEST(ScaleCkptTest, ResumeMatchesUninterruptedRunAtEveryShardCount) {
   ASSERT_GT(control.windows, 3u);
   const std::string control_sig = ScaleRunSignature(control);
 
-  for (const uint64_t stop : {uint64_t{1}, uint64_t{2}, control.windows - 1}) {
+  // Every window 1..W-1 at shards 1 and 2 (plus shard 4 at the first and
+  // last), so every restore transition — router close, inbox EOF — is
+  // replayed from a segment at least once.
+  for (uint64_t stop = 1; stop < control.windows; ++stop) {
     for (const int shards : {1, 2, 4}) {
+      if (shards == 4 && stop != 1 && stop != control.windows - 1) {
+        continue;
+      }
       ScaleConfig config = TinyConfig();
       config.ckpt.path = FreshPrefix(
           config, "resume_w" + std::to_string(stop) + "_s" + std::to_string(shards));
@@ -144,18 +208,23 @@ TEST(ScaleCkptTest, ChaosScenarioResumesBitIdentical) {
   const std::string control_sig = ScaleRunSignature(control);
 
   // Crashed/restarted/down nodes cross checkpoint boundaries here: the
-  // carried-stats, boot-snapshot, and down-node paths all execute.
-  for (const uint64_t stop : {uint64_t{2}, control.windows / 2}) {
-    ScaleConfig config = ChaosConfig();
-    config.ckpt.path = FreshPrefix(config, "chaos_w" + std::to_string(stop));
-    config.ckpt.every = 1;
-    config.ckpt.stop_after_window = stop;
-    const ScaleRun partial = RunShardedVolano(config, 2);
-    EXPECT_FALSE(partial.completed);
+  // carried-stats, boot-snapshot, and down-node paths all execute. Stopping
+  // at every window replays every crash, down window and restart.
+  for (uint64_t stop = 1; stop < control.windows; ++stop) {
+    for (const int shards : {1, 2}) {
+      ScaleConfig config = ChaosConfig();
+      config.ckpt.path = FreshPrefix(
+          config, "chaos_w" + std::to_string(stop) + "_s" + std::to_string(shards));
+      config.ckpt.every = 1;
+      config.ckpt.stop_after_window = stop;
+      const ScaleRun partial = RunShardedVolano(config, shards);
+      EXPECT_FALSE(partial.completed);
 
-    config.ckpt.stop_after_window = 0;
-    const ScaleRun resumed = RunShardedVolano(config, 2);
-    EXPECT_EQ(ScaleRunSignature(resumed), control_sig) << "stop=" << stop;
+      config.ckpt.stop_after_window = 0;
+      const ScaleRun resumed = RunShardedVolano(config, shards);
+      EXPECT_EQ(ScaleRunSignature(resumed), control_sig)
+          << "stop=" << stop << " shards=" << shards;
+    }
   }
 }
 
