@@ -1,12 +1,13 @@
 #include "bench/experiment_util.h"
 
 #include <cerrno>  // program_invocation_name (glibc) for repro commands.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 
+#include "src/base/fnv.h"
 #include "src/base/string_util.h"
-#include "src/harness/journal.h"
 #include "src/harness/shutdown.h"
 #include "src/stats/proc_report.h"
 
@@ -36,7 +37,7 @@ void AccumulateSupervision(const SupervisionStats& stats) {
 }
 
 uint64_t RunJournalFingerprint(const std::string& what) {
-  return RunJournal::Fingerprint(what);
+  return Fnv1a64(what);
 }
 
 uint64_t VolanoMatrixId(const std::vector<VolanoCellSpec>& cells, int replicates) {
@@ -46,7 +47,7 @@ uint64_t VolanoMatrixId(const std::vector<VolanoCellSpec>& cells, int replicates
                           static_cast<unsigned long long>(VolanoCellKey(spec)),
                           static_cast<unsigned long long>(spec.seed));
   }
-  return RunJournal::Fingerprint(identity);
+  return Fnv1a64(identity);
 }
 
 CellCodec<VolanoRun> VolanoRunCodec() {
@@ -247,6 +248,12 @@ void MaybeExportCsv(const std::string& name, const TextTable& table) {
   } else {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
   }
+}
+
+double NowSec() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 void PrintBenchHeader(const std::string& experiment, const std::string& description) {

@@ -97,6 +97,10 @@ std::string FmtI(uint64_t value);
 // "870" for a single replicate, "870 ±12" for several.
 std::string FmtMeanSd(const Summary& summary, int decimals = 0);
 
+// Host wall-clock seconds from a steady clock, for the benches' timing
+// blocks. Never feeds simulated (deterministic) output.
+double NowSec();
+
 // Prints the standard bench header (experiment id + workload summary),
 // including the harness job/replicate counts when they differ from 1.
 void PrintBenchHeader(const std::string& experiment, const std::string& description);

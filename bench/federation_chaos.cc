@@ -33,7 +33,6 @@
 // through RunShardedVolano): ELSC_SCALE_CKPT / _EVERY / _KEEP and
 // ELSC_SCALE_INJECT_KILL; see docs/SCALE.md "Checkpoint & recovery".
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -46,12 +45,6 @@
 #include "src/api/scale.h"
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::vector<int> IntList(const char* env_name, const std::string& fallback,
                          int min_value) {
@@ -178,16 +171,16 @@ int main(int argc, char** argv) {
 
   // Cells run serially: each is itself a multi-threaded scenario, and serial
   // cells keep the per-cell wall-clock measurements honest.
-  const double sweep_start = NowSec();
+  const double sweep_start = elsc::NowSec();
   const std::vector<elsc::ScaleCell> cells = elsc::RunBenchMatrix(
       "federation_chaos", points.size(),
       [&](size_t i) {
         elsc::ScaleCell cell;
         cell.config = PointConfig(points[i], seed, rooms, users, msgs,
                                   loss_pct, kernel);
-        const double start = NowSec();
+        const double start = elsc::NowSec();
         cell.run = elsc::RunShardedVolano(cell.config, points[i].shards);
-        cell.wall_sec = NowSec() - start;
+        cell.wall_sec = elsc::NowSec() - start;
         if (cell.wall_sec > 0.0) {
           cell.tasks_per_wall_sec =
               static_cast<double>(cell.run.stats.machine.tasks_created) /
@@ -198,7 +191,7 @@ int main(int argc, char** argv) {
         return cell;
       },
       /*jobs=*/1);
-  const double sweep_elapsed = NowSec() - sweep_start;
+  const double sweep_elapsed = elsc::NowSec() - sweep_start;
 
   std::printf("%-12s %6s %5s %7s %8s %9s %6s %6s %6s %9s %11s %8s\n", "sched",
               "crash%", "retx", "shards", "crashes", "degraded", "lost",

@@ -23,7 +23,6 @@
 //   ELSC_O1_MSGS     messages per user              (default 10)
 //   ELSC_O1_TIMING   0 -> omit the wall-clock timing block from the JSON
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,12 +34,6 @@
 #include "src/stats/ascii_chart.h"
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::vector<int> IntList(const char* env_name, const std::string& fallback) {
   const char* env = std::getenv(env_name);
@@ -131,7 +124,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double sweep_start = NowSec();
+  const double sweep_start = elsc::NowSec();
   const std::vector<Cell> cells = elsc::RunBenchMatrix(
       "o1_scaling", specs.size(), [&](size_t i) {
         Cell cell;
@@ -147,13 +140,13 @@ int main(int argc, char** argv) {
         vc.rooms = specs[i].rooms;
         vc.users_per_room = users;
         vc.messages_per_user = msgs;
-        const double start = NowSec();
+        const double start = elsc::NowSec();
         cell.run = elsc::RunVolano(mc, vc);
-        cell.wall_sec = NowSec() - start;
+        cell.wall_sec = elsc::NowSec() - start;
         cell.digest = elsc::RunStatsDigest(cell.run.stats);
         return cell;
       });
-  const double sweep_elapsed = NowSec() - sweep_start;
+  const double sweep_elapsed = elsc::NowSec() - sweep_start;
 
   std::printf("%-12s %5s %6s %6s %11s %10s %9s %8s %7s %7s %7s %8s\n", "sched",
               "cpus", "rooms", "tasks", "sched_calls", "cyc/sched", "lockwait%",

@@ -31,7 +31,6 @@
 // drills (scripts/ci_supervised.sh); SIGTERM/SIGINT exit 75 gracefully
 // after flushing a final segment.
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -44,12 +43,6 @@
 #include "src/api/scale.h"
 
 namespace {
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::vector<int> IntList(const char* env_name, const std::string& fallback) {
   const char* env = std::getenv(env_name);
@@ -141,15 +134,15 @@ int main(int argc, char** argv) {
   // Cells run serially: each one is itself a multi-threaded scenario (its
   // shard pool wants the machine), and serial cells keep the per-cell
   // wall-clock measurements honest.
-  const double sweep_start = NowSec();
+  const double sweep_start = elsc::NowSec();
   const std::vector<elsc::ScaleCell> cells = elsc::RunBenchMatrix(
       "scale_sweep", specs.size(),
       [&](size_t i) {
         elsc::ScaleCell cell;
         cell.config = specs[i];
-        const double start = NowSec();
+        const double start = elsc::NowSec();
         cell.run = elsc::RunShardedVolano(specs[i], spec_shards[i]);
-        cell.wall_sec = NowSec() - start;
+        cell.wall_sec = elsc::NowSec() - start;
         if (cell.wall_sec > 0.0) {
           cell.tasks_per_wall_sec =
               static_cast<double>(cell.run.stats.machine.tasks_created) / cell.wall_sec;
@@ -159,7 +152,7 @@ int main(int argc, char** argv) {
         return cell;
       },
       /*jobs=*/1);
-  const double sweep_elapsed = NowSec() - sweep_start;
+  const double sweep_elapsed = elsc::NowSec() - sweep_start;
 
   std::printf("%-12s %6s %6s %6s %7s %9s %10s %8s %11s %10s %10s %8s\n",
               "sched", "rooms", "conns", "nodes", "shards", "windows",

@@ -14,6 +14,7 @@
 
 #include "src/base/assert.h"
 #include "src/base/atomic_file.h"
+#include "src/base/fnv.h"
 #include "src/base/string_util.h"
 #include "src/base/watchdog.h"
 #include "src/faults/kill_point.h"
@@ -44,17 +45,6 @@ constexpr int kAckRoom = -2;
 // ids are strictly larger than anything its dead incarnation sent, so the
 // receiver's gap-jump handles the incarnation switch like any other loss.
 constexpr int kIncarnationShift = 48;
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvFold(uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 struct ScaleNode;
 
@@ -141,15 +131,14 @@ class FederationRx : public TaskBehavior {
 };
 
 // One node of the federation: an independent Machine simulating its rooms,
-// plus the fabric endpoints. Owned by the coordinator; advanced by exactly
+// plus the fabric endpoints. Owned by the Federation; advanced by exactly
 // one shard thread per window; destroyed (streaming fold) at the barrier
 // where its workload completes. Under the failure model a node can
 // additionally be torn down mid-scenario (crash) and rebuilt with a derived
-// seed (restart) — the counters below deliberately live here, not in the
+// seed (restart) — `life` and `fed` deliberately live here, not in the
 // machine, so they survive incarnations.
 struct ScaleNode {
   int index = 0;
-  int first_room = 0;
   int dst_node = 0;  // Ring successor receiving this node's beacons.
   int src_node = 0;  // Ring predecessor; acks flow back to it.
   const ScaleConfig* config = nullptr;
@@ -165,35 +154,16 @@ struct ScaleNode {
   // Global room ids this incarnation simulates (restart re-runs only the
   // unfinished rooms; index 0 pairs with volano room 0, and so on).
   std::vector<int> room_ids;
-  // A restarted machine starts at local t = 0; global time = offset + local.
-  Cycles clock_offset = 0;
-  int incarnation = 0;
+  NodeLifecycle life;
+  FedCounters fed;
+  // `fed` at this incarnation's boot. Task- and event-mutated counters
+  // cannot be serialized live (their current values are the boot value plus
+  // this incarnation's deltas, and replay reproduces the deltas) — so
+  // checkpoints store this snapshot.
+  FedCounters boot_fed;
+  uint64_t tx_acked = 0;  // Cumulative ack from the ring successor; 0 at boot.
 
-  // Federation counters (single-writer: only this node's tasks / delivery
-  // events touch them, and those all run on this node's shard thread).
-  uint64_t beacons_sent = 0;
-  uint64_t beacons_received = 0;
-  uint64_t inbox_overflows = 0;
-  uint64_t late_writes = 0;
-  uint64_t last_remote_progress = 0;  // Payload of the newest beacon seen.
-  // Recovery-protocol counters (persist across restarts).
-  uint64_t tx_acked = 0;  // Cumulative ack from the ring successor.
-  uint64_t retransmits = 0;
-  uint64_t retx_abandoned = 0;
-  uint64_t dup_discards = 0;
-  uint64_t acks_sent = 0;
-  uint64_t acks_received = 0;
-
-  // Crash lifecycle (coordinator-side).
-  bool down = false;
-  uint64_t restart_window = 0;
-  uint64_t crashes = 0;
-  // Finished-room quotas banked from dead incarnations — their deliveries
-  // happened and stay counted; only unfinished rooms re-run.
-  uint64_t banked_sent = 0;
-  uint64_t banked_delivered = 0;
-  uint64_t chat_messages_lost = 0;      // Partial-room work thrown away.
-  uint64_t crash_inflight_dropped = 0;  // Fabric deliveries killed mid-air.
+  bool down = false;  // Crashed, awaiting restart at life.restart_window.
   // Arrivals scheduled on this incarnation's engine that have not landed
   // yet (incremented by the coordinator sink at barriers, decremented by
   // the delivery event on the shard thread — phases never overlap).
@@ -201,36 +171,12 @@ struct ScaleNode {
   RunStats carried_stats;  // Stats of dead incarnations, merged at fold.
   bool has_carried_stats = false;
 
-  bool chat_done = false;
-  uint64_t completed_window = 0;
-
-  // --- Checkpoint support (scale_ckpt.h) ---
   // Fabric deliveries the coordinator sink scheduled onto this incarnation's
   // engine, in sink-call order (duplicates appear twice). Restore replays
   // them verbatim at their original barriers. Only populated when
   // checkpointing is armed; cleared at every boot.
   bool log_arrivals = false;
   std::vector<CkptArrival> arrival_log;
-  // Counter values at this incarnation's boot. Task- and event-mutated
-  // counters cannot be serialized live (their current values are the sum of
-  // boot value + this incarnation's deltas, and the deltas are reproduced by
-  // replay) — so checkpoints store the boot snapshot and replay re-adds the
-  // deltas. tx_acked needs no snapshot: it is always 0 at boot.
-  struct FedSnapshot {
-    uint64_t beacons_sent = 0;
-    uint64_t beacons_received = 0;
-    uint64_t inbox_overflows = 0;
-    uint64_t late_writes = 0;
-    uint64_t last_remote_progress = 0;
-    uint64_t retransmits = 0;
-    uint64_t retx_abandoned = 0;
-    uint64_t dup_discards = 0;
-    uint64_t acks_sent = 0;
-    uint64_t acks_received = 0;
-  };
-  FedSnapshot boot_counters;
-
-  Cycles GlobalNow() const { return clock_offset + machine->Now(); }
 };
 
 // Jitter key for one unacked beacon's retransmission schedule.
@@ -240,7 +186,7 @@ uint64_t RetxKey(const ScaleNode& node, uint64_t id) {
 
 FederationTx::FederationTx(ScaleNode* node)
     : node_(node),
-      next_beacon_id_(static_cast<uint64_t>(node->incarnation)
+      next_beacon_id_(static_cast<uint64_t>(node->life.incarnation)
                       << kIncarnationShift) {}
 
 Segment FederationTx::NextSegment(Machine& machine, Task& task) {
@@ -270,7 +216,7 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
   if (now < next_beacon_at_) {
     return Segment::Sleep(cfg.chat.syscall_cycles, next_beacon_at_ - now);
   }
-  const Cycles global_now = node_->clock_offset + now;
+  const Cycles global_now = node_->life.clock_offset + now;
   Cycles emissions = 0;
   if (armed && cfg.retransmit) {
     // Timeout-driven retransmission: anything unacked past its deadline is
@@ -282,13 +228,13 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
         continue;
       }
       if (cfg.retransmit_backoff.ShouldAbandon(u.attempts)) {
-        ++node_->retx_abandoned;
+        ++node_->fed.retx_abandoned;
         unacked_.erase(unacked_.begin() + static_cast<long>(i));
         continue;
       }
       u.msg.sent_at = global_now;
       node_->router->Emit(node_->index, node_->dst_node, global_now, u.msg);
-      ++node_->retransmits;
+      ++node_->fed.retransmits;
       ++u.attempts;
       u.next_retx_at =
           global_now + cfg.retransmit_backoff.Delay(RetxKey(*node_, u.id),
@@ -307,7 +253,7 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
       beacon.sent_at = global_now;
       beacon.payload = node_->volano->messages_delivered();
       node_->router->Emit(node_->index, node_->dst_node, global_now, beacon);
-      ++node_->beacons_sent;
+      ++node_->fed.beacons_sent;
       ++emissions;
       if (armed && cfg.retransmit) {
         Unacked u;
@@ -319,7 +265,7 @@ Segment FederationTx::NextSegment(Machine& machine, Task& task) {
         while (unacked_.size() > cfg.retransmit_buffer) {
           // Bounded buffer: the oldest unacked beacon is given up on.
           unacked_.pop_front();
-          ++node_->retx_abandoned;
+          ++node_->fed.retx_abandoned;
         }
       }
     }
@@ -337,8 +283,8 @@ Segment FederationRx::NextSegment(Machine& machine, Task& task) {
   switch (inbox->TryReadMsg(machine, &beacon)) {
     case SockStatus::kOk:
       if (!node_->armed) {
-        ++node_->beacons_received;
-        node_->last_remote_progress = beacon.payload;
+        ++node_->fed.beacons_received;
+        node_->fed.last_remote_progress = beacon.payload;
         return Segment::RunAgain(cfg.gossip_process_cycles);
       }
       return Process(machine, beacon);
@@ -350,12 +296,12 @@ Segment FederationRx::NextSegment(Machine& machine, Task& task) {
         ack.id = cum_;
         ack.sender = node_->index;
         ack.room = kAckRoom;
-        const Cycles global_now = node_->clock_offset + machine.Now();
+        const Cycles global_now = node_->life.clock_offset + machine.Now();
         ack.sent_at = global_now;
         ack.payload = cum_;
         node_->router->Emit(node_->index, node_->src_node, global_now, ack);
         last_acked_ = cum_;
-        ++node_->acks_sent;
+        ++node_->fed.acks_sent;
         return Segment::RunAgain(cfg.beacon_cycles);
       }
       return Segment::Block(cfg.chat.syscall_cycles, &inbox->read_wait(),
@@ -366,8 +312,8 @@ Segment FederationRx::NextSegment(Machine& machine, Task& task) {
 }
 
 void FederationRx::Deliver(const Message& beacon) {
-  ++node_->beacons_received;
-  node_->last_remote_progress = beacon.payload;
+  ++node_->fed.beacons_received;
+  node_->fed.last_remote_progress = beacon.payload;
 }
 
 Segment FederationRx::Process(Machine& machine, const Message& beacon) {
@@ -378,12 +324,12 @@ Segment FederationRx::Process(Machine& machine, const Message& beacon) {
     if (beacon.payload > node_->tx_acked) {
       node_->tx_acked = beacon.payload;
     }
-    ++node_->acks_received;
+    ++node_->fed.acks_received;
     return Segment::RunAgain(cfg.chat.syscall_cycles);
   }
   const uint64_t id = beacon.id;
   if (id <= cum_ || reorder_.count(id) != 0) {
-    ++node_->dup_discards;
+    ++node_->fed.dup_discards;
     return Segment::RunAgain(cfg.chat.syscall_cycles);
   }
   uint64_t processed = 0;
@@ -444,7 +390,7 @@ void ScheduleArrivalOn(ScaleNode* dst, Cycles arrival, const Message& payload) {
   ++dst->pending_deliveries;
   // A restarted machine's clock is offset: schedule at local time.
   dst->machine->engine().ScheduleAt(
-      arrival - dst->clock_offset, [dst, payload] {
+      arrival - dst->life.clock_offset, [dst, payload] {
         --dst->pending_deliveries;
         switch (dst->inbox->TryWriteMsg(*dst->machine, payload)) {
           case SockStatus::kOk:
@@ -452,10 +398,10 @@ void ScheduleArrivalOn(ScaleNode* dst, Cycles arrival, const Message& payload) {
           case SockStatus::kWouldBlock:
             // Bounded inbox full: the beacon is dropped like a datagram
             // against a full receive buffer.
-            ++dst->inbox_overflows;
+            ++dst->fed.inbox_overflows;
             break;
           default:  // kClosed / kReset: delivery raced the shutdown.
-            ++dst->late_writes;
+            ++dst->fed.late_writes;
             break;
         }
       });
@@ -465,18 +411,19 @@ void ScheduleArrivalOn(ScaleNode* dst, Cycles arrival, const Message& payload) {
 // next windows' behavior depends on. Computed at checkpoint time and again
 // after restore replay — any divergence rejects the segment.
 std::string VerifyLine(const ScaleNode& node) {
+  const FedCounters& f = node.fed;
   std::string line = StrFormat(
       "fed:%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu|ack:%llu|pend:%llu|",
-      static_cast<unsigned long long>(node.beacons_sent),
-      static_cast<unsigned long long>(node.beacons_received),
-      static_cast<unsigned long long>(node.inbox_overflows),
-      static_cast<unsigned long long>(node.late_writes),
-      static_cast<unsigned long long>(node.last_remote_progress),
-      static_cast<unsigned long long>(node.retransmits),
-      static_cast<unsigned long long>(node.retx_abandoned),
-      static_cast<unsigned long long>(node.dup_discards),
-      static_cast<unsigned long long>(node.acks_sent),
-      static_cast<unsigned long long>(node.acks_received),
+      static_cast<unsigned long long>(f.beacons_sent),
+      static_cast<unsigned long long>(f.beacons_received),
+      static_cast<unsigned long long>(f.inbox_overflows),
+      static_cast<unsigned long long>(f.late_writes),
+      static_cast<unsigned long long>(f.last_remote_progress),
+      static_cast<unsigned long long>(f.retransmits),
+      static_cast<unsigned long long>(f.retx_abandoned),
+      static_cast<unsigned long long>(f.dup_discards),
+      static_cast<unsigned long long>(f.acks_sent),
+      static_cast<unsigned long long>(f.acks_received),
       static_cast<unsigned long long>(node.tx_acked),
       static_cast<unsigned long long>(node.pending_deliveries));
   line += RunStatsDigest(NodeRunStats(node));
@@ -494,11 +441,12 @@ std::string VerifyLine(const ScaleNode& node) {
 
 // Builds (or rebuilds, incarnation > 0) a node's simulated machine, chat
 // workload over node->room_ids, inbox, and federation relays, and starts it.
-void BootNode(ScaleNode* node, const ScaleConfig& config) {
+void BootNode(ScaleNode* node) {
+  const ScaleConfig& config = *node->config;
+  const int incarnation = node->life.incarnation;
   const uint64_t seed_key =
-      node->incarnation == 0
-          ? kScaleSeedKey
-          : kScaleRestartKey + static_cast<uint64_t>(node->incarnation);
+      incarnation == 0 ? kScaleSeedKey
+                       : kScaleRestartKey + static_cast<uint64_t>(incarnation);
   MachineConfig mc = MakeMachineConfig(
       config.kernel, config.scheduler,
       DeriveSeed(config.seed, seed_key, static_cast<uint64_t>(node->index)));
@@ -511,9 +459,9 @@ void BootNode(ScaleNode* node, const ScaleConfig& config) {
 
   if (node->router != nullptr) {
     node->inbox = std::make_unique<SimSocket>(
-        node->incarnation == 0
+        incarnation == 0
             ? StrFormat("node%d.fabric.in", node->index)
-            : StrFormat("node%d.fabric.in#%d", node->index, node->incarnation),
+            : StrFormat("node%d.fabric.in#%d", node->index, incarnation),
         config.fabric_inbox_capacity);
     node->tx = std::make_unique<FederationTx>(node);
     node->rx = std::make_unique<FederationRx>(node);
@@ -530,16 +478,7 @@ void BootNode(ScaleNode* node, const ScaleConfig& config) {
   // Checkpoint bookkeeping: a fresh incarnation starts a fresh arrival log,
   // and the counter values right now are what replay will restart from.
   node->arrival_log.clear();
-  node->boot_counters.beacons_sent = node->beacons_sent;
-  node->boot_counters.beacons_received = node->beacons_received;
-  node->boot_counters.inbox_overflows = node->inbox_overflows;
-  node->boot_counters.late_writes = node->late_writes;
-  node->boot_counters.last_remote_progress = node->last_remote_progress;
-  node->boot_counters.retransmits = node->retransmits;
-  node->boot_counters.retx_abandoned = node->retx_abandoned;
-  node->boot_counters.dup_discards = node->dup_discards;
-  node->boot_counters.acks_sent = node->acks_sent;
-  node->boot_counters.acks_received = node->acks_received;
+  node->boot_fed = node->fed;
   node->machine->Start();
 }
 
@@ -554,774 +493,618 @@ double ResolveWindowBudget(const ScaleConfig& config) {
   return budget > 0.0 ? budget : 0.0;
 }
 
-}  // namespace
+// fabric_latency == 0 means one window.
+Cycles FabricLatency(const ScaleConfig& config) {
+  return config.fabric_latency == 0 ? config.window : config.fabric_latency;
+}
 
-ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
-  const int num_nodes = config.nodes();
-  ELSC_CHECK_MSG(config.rooms >= 1 && num_nodes >= 1, "scale scenario needs rooms");
-  ELSC_CHECK_MSG(config.window > 0, "scale window must be positive");
-  const Cycles window = config.window;
-  const Cycles latency =
-      config.fabric_latency == 0 ? window : config.fabric_latency;
-  ELSC_CHECK_MSG(latency >= window,
-                 "conservative rule: fabric latency must be >= the window");
-  const bool gossip = config.gossip_period > 0;
-  const bool armed = config.faults.Enabled();
-  shards = std::clamp(shards <= 0 ? 1 : shards, 1, num_nodes);
+// One sharded scenario: the nodes, the fabric, the aggregate run-so-far and
+// the coordinator's loop state, with one method per phase of a window. A
+// Federation is set up once — cold (Build) or from a checkpoint (Restore) —
+// and then Run to the end. A rejected Restore leaves it half-built; the
+// caller discards it and constructs a fresh one.
+class Federation {
+ public:
+  Federation(const ScaleConfig& config, int shards,
+             const ScaleCheckpointOptions& ckpt, uint64_t config_fp);
+  Federation(const Federation&) = delete;
+  Federation& operator=(const Federation&) = delete;
 
-  // Checkpoint knobs: explicit config wins, else the ELSC_SCALE_CKPT*
-  // environment, else disabled. The fingerprint binds segments to this exact
-  // scenario (and names them, so concurrent sweep cells never collide).
-  ScaleCheckpointOptions ckpt = config.ckpt;
-  if (ckpt.path.empty()) {
-    ckpt = ScaleCheckpointOptions::FromEnv();
-  }
-  const uint64_t config_fp = ckpt.armed() ? ScaleConfigFingerprint(config) : 0;
+  void Build();
+  bool Restore(const ScaleCheckpoint& c);
+  ScaleRun Run();
 
-  ScaleRun run;
-  run.nodes = num_nodes;
-  run.shards = shards;
-  run.rooms = static_cast<uint64_t>(config.rooms);
-  run.connections = config.connections();
-  run.fault_model = armed;
-  run.digest = kFnvOffset;
+  int live() const { return live_; }
 
-  FabricRouter router(num_nodes, window, latency);
-  if (armed) {
-    router.ArmFaults(&config.faults);
+ private:
+  std::unique_ptr<ScaleNode> MakeNode(int index);
+  bool ReplayNode(ScaleNode* node, const CkptNode& cn);
+  bool StepWindow(Cycles barrier);
+  void CrashAndRestart(Cycles barrier);
+  void SampleMemory();
+  void Exchange(Cycles barrier);
+  void Fold(size_t n, const char* failed_tag);
+  void FoldFailed(const char* tag, const std::string& why);
+  bool CheckpointAndMaybeStop();
+  ScaleCheckpoint Snapshot() const;
+  void Finish();
+
+  const ScaleConfig& config_;
+  const ScaleCheckpointOptions ckpt_;
+  const uint64_t config_fp_;
+  const int num_nodes_;
+  const int shards_;
+  const Cycles latency_;
+  const bool gossip_;
+  const bool armed_;
+  const double wall_budget_;
+  FabricRouter router_;
+  std::vector<std::unique_ptr<ScaleNode>> nodes_;  // Null = folded.
+  std::unique_ptr<ThreadPool> pool_;  // Null when shards_ == 1.
+  ScaleRun run_;
+  FedLoopState loop_;
+  int live_ = 0;
+};
+
+Federation::Federation(const ScaleConfig& config, int shards,
+                       const ScaleCheckpointOptions& ckpt, uint64_t config_fp)
+    : config_(config),
+      ckpt_(ckpt),
+      config_fp_(config_fp),
+      num_nodes_(config.nodes()),
+      shards_(shards),
+      latency_(FabricLatency(config)),
+      gossip_(config.gossip_period > 0),
+      armed_(config.faults.Enabled()),
+      wall_budget_(ResolveWindowBudget(config)),
+      router_(num_nodes_, config.window, latency_),
+      nodes_(static_cast<size_t>(num_nodes_)) {
+  if (armed_) {
+    router_.ArmFaults(&config.faults);
   }
   if (config.fabric_lane_capacity > 0) {
-    router.SetLaneCapacity(config.fabric_lane_capacity);
+    router_.SetLaneCapacity(config.fabric_lane_capacity);
   }
+  run_.nodes = num_nodes_;
+  run_.shards = shards;
+  run_.rooms = static_cast<uint64_t>(config.rooms);
+  run_.connections = config.connections();
+  run_.fault_model = armed_;
+  run_.digest = kFnv1aOffset;
+  loop_.inboxes_closed = !gossip_;
+}
 
-  // The router's post-construction state: ResetState() below reimports it
-  // when a partially-applied restore is rejected mid-way.
-  const FabricRouterState virgin_router = router.ExportState();
+std::unique_ptr<ScaleNode> Federation::MakeNode(int index) {
+  auto node = std::make_unique<ScaleNode>();
+  node->index = index;
+  node->dst_node = (index + 1) % num_nodes_;
+  node->src_node = (index + num_nodes_ - 1) % num_nodes_;
+  node->config = &config_;
+  node->router = gossip_ ? &router_ : nullptr;
+  node->armed = armed_;
+  node->log_arrivals = ckpt_.armed();
+  return node;
+}
 
-  // ---- Build the federation ----
-  std::vector<std::unique_ptr<ScaleNode>> nodes(static_cast<size_t>(num_nodes));
-
-  const auto make_node = [&](int i) {
-    auto node = std::make_unique<ScaleNode>();
-    node->index = i;
-    node->first_room = i * config.rooms_per_node;
-    node->dst_node = (i + 1) % num_nodes;
-    node->src_node = (i + num_nodes - 1) % num_nodes;
-    node->config = &config;
-    node->router = gossip ? &router : nullptr;
-    node->armed = armed;
-    node->log_arrivals = ckpt.armed();
-    return node;
-  };
-
-  const auto build_cold = [&] {
-    for (int i = 0; i < num_nodes; ++i) {
-      auto node = make_node(i);
-      const int owned =
-          std::min(config.rooms_per_node, config.rooms - node->first_room);
-      node->room_ids.reserve(static_cast<size_t>(owned));
-      for (int r = 0; r < owned; ++r) {
-        node->room_ids.push_back(node->first_room + r);
-      }
-      BootNode(node.get(), config);
-      nodes[static_cast<size_t>(i)] = std::move(node);
+// Cold start: every node boots over its own contiguous room range.
+void Federation::Build() {
+  for (int i = 0; i < num_nodes_; ++i) {
+    auto node = MakeNode(i);
+    const int first_room = i * config_.rooms_per_node;
+    const int owned = std::min(config_.rooms_per_node, config_.rooms - first_room);
+    node->room_ids.reserve(static_cast<size_t>(owned));
+    for (int r = 0; r < owned; ++r) {
+      node->room_ids.push_back(first_room + r);
     }
-  };
-
-  // ---- Conservative time-windowed lock-step ----
-  std::unique_ptr<ThreadPool> pool;
-  if (shards > 1) {
-    pool = std::make_unique<ThreadPool>(shards);
+    BootNode(node.get());
+    nodes_[static_cast<size_t>(i)] = std::move(node);
   }
-  const double wall_budget = ResolveWindowBudget(config);
+  live_ = num_nodes_;
+}
 
-  int live = num_nodes;
-  int chats_done = 0;
-  bool all_completed = true;
-  Cycles inbox_close_at = 0;  // 0 = fabric still open.
-  bool inboxes_closed = !gossip;
-  uint64_t window_index = 0;
-  // Window indices the fabric closed / the inboxes EOF'd at (0 = not yet):
-  // checkpoint replay must re-apply both at exactly the original barriers.
-  uint64_t router_close_window = 0;
-  uint64_t inbox_close_window = 0;
-  bool stopped_early = false;  // ckpt.stop_after_window tripped.
+// Installs one decoded checkpoint: the aggregate and loop state verbatim,
+// down nodes as recorded, live nodes by replay. False on any inconsistency.
+bool Federation::Restore(const ScaleCheckpoint& c) {
+  static_cast<ScaleTotals&>(run_) = c.totals;
+  if (!DecodeRunStats(c.agg_stats, &run_.stats)) {
+    return false;
+  }
+  loop_ = c.loop;
+  router_.ImportState(c.fabric);
+  for (const CkptNode& cn : c.nodes) {
+    auto node = MakeNode(cn.index);
+    node->life = cn.life;
+    node->fed = cn.fed;
+    node->room_ids = cn.room_ids;
+    if (!cn.carried_stats.empty()) {
+      if (!DecodeRunStats(cn.carried_stats, &node->carried_stats)) {
+        return false;
+      }
+      node->has_carried_stats = true;
+    }
+    // Cheap structural sanity before committing to a replay: a live
+    // node's boot barrier must match its clock offset and lie at or
+    // before the checkpoint window; a down node's restart must still be
+    // in the future.
+    const NodeLifecycle& life = cn.life;
+    const Cycles expect_offset =
+        life.incarnation == 0
+            ? 0
+            : static_cast<Cycles>(life.restart_window) * config_.window;
+    if (life.clock_offset != expect_offset || cn.room_ids.empty()) {
+      return false;
+    }
+    if (cn.state == 2) {
+      if (life.restart_window <= loop_.window_index) {
+        return false;
+      }
+      node->down = true;
+    } else {
+      if (life.incarnation > 0 && life.restart_window > loop_.window_index) {
+        return false;
+      }
+      BootNode(node.get());
+      if (!ReplayNode(node.get(), cn)) {
+        return false;
+      }
+      node->arrival_log = cn.arrivals;  // The next segment still needs it.
+    }
+    nodes_[static_cast<size_t>(cn.index)] = std::move(node);
+    ++live_;
+  }
+  return live_ > 0;
+}
 
-  // ---- Delivery sink: schedules a beacon's arrival on its destination ----
-  // Runs on the coordinator thread at barriers (no shard is advancing), so
-  // ScheduleAt into the destination engine is race-free; the event itself
-  // fires on whichever shard advances the destination through `arrival`.
-  const auto sink = [&nodes, &window_index](
-                        const FabricMessage& msg,
-                        Cycles arrival) -> FabricRouter::Delivery {
-    ScaleNode* dst = nodes[static_cast<size_t>(msg.dst_node)].get();
-    if (dst == nullptr) {
-      return FabricRouter::Delivery::kRefused;
-    }
-    if (dst->down || dst->machine == nullptr) {
-      return FabricRouter::Delivery::kDown;
-    }
-    if (dst->log_arrivals) {
-      dst->arrival_log.push_back(CkptArrival{window_index, arrival, msg.payload});
-    }
-    ScheduleArrivalOn(dst, arrival, msg.payload);
-    return FabricRouter::Delivery::kDelivered;
+// Reconstructs a live node by deterministic replay of its current
+// incarnation: boot exactly as the original did (same derived seed), step
+// window by window re-scheduling the logged arrivals at their original
+// barriers, and re-apply the router-close / inbox-EOF transitions at the
+// windows the coordinator originally performed them. The node's own
+// re-emissions go into a throwaway per-node router — per node because the
+// closed flag must flip at this node's original window (it gates the
+// transmit relay's exit condition) — and are discarded: the originals
+// already reached their destinations, which logged or folded them.
+bool Federation::ReplayNode(ScaleNode* node, const CkptNode& cn) {
+  const uint64_t boot_window =
+      node->life.incarnation == 0 ? 0 : node->life.restart_window;
+  FabricRouter replay_router(num_nodes_, config_.window, latency_);
+  if (gossip_) {
+    node->router = &replay_router;
+  }
+  const FabricRouter::Sink discard = [](const FabricMessage&, Cycles) {
+    return FabricRouter::Delivery::kRefused;
   };
-
-  // Folds every still-live node as failed (partial per-node stats included)
-  // and stamps the run's failure — the deadline and watchdog exits.
-  const auto fold_failed = [&](const char* tag, const std::string& why) {
-    for (size_t n = 0; n < nodes.size(); ++n) {
-      ScaleNode* node = nodes[n].get();
-      if (node == nullptr) {
-        continue;
+  size_t cursor = 0;
+  for (uint64_t w = boot_window; w <= loop_.window_index; ++w) {
+    const Cycles replay_barrier = static_cast<Cycles>(w) * config_.window;
+    if (w > boot_window) {
+      // The original run advanced the node through window w before the
+      // barrier-w exchange. At the boot window itself the machine had not
+      // run yet: arrivals landed on the untouched fresh engine, and
+      // stepping it here would fire t=0 start events too early, changing
+      // event insertion order.
+      node->machine->engine().RunUntil(replay_barrier - node->life.clock_offset);
+      if (gossip_) {
+        replay_router.Exchange(replay_barrier, discard);
       }
-      RunStats node_stats;
-      if (node->machine != nullptr) {
-        node_stats = NodeRunStats(*node);
-        run.messages_sent += node->volano->messages_sent();
-        run.messages_delivered += node->volano->messages_delivered();
-      }
-      if (node->has_carried_stats) {
-        MergeRunStats(&node->carried_stats, node_stats);
-        node_stats = node->carried_stats;
-      }
-      node_stats.failed = true;
-      run.messages_sent += node->banked_sent;
-      run.messages_delivered += node->banked_delivered;
-      run.beacons_sent += node->beacons_sent;
-      run.beacons_received += node->beacons_received;
-      run.inbox_overflows += node->inbox_overflows;
-      run.late_writes += node->late_writes;
-      run.retransmits += node->retransmits;
-      run.retx_abandoned += node->retx_abandoned;
-      run.dup_discards += node->dup_discards;
-      run.acks_sent += node->acks_sent;
-      run.acks_received += node->acks_received;
-      run.chat_messages_lost += node->chat_messages_lost;
-      run.crash_inflight_dropped += node->crash_inflight_dropped;
-      MergeRunStats(&run.stats, node_stats);
-      run.digest = FnvFold(
-          run.digest,
-          StrFormat("n%d@%s|", node->index, tag) + RunStatsDigest(node_stats) +
-              StrFormat("|fed:%llu,%llu,%llu,%llu;",
-                        static_cast<unsigned long long>(node->beacons_sent),
-                        static_cast<unsigned long long>(node->beacons_received),
-                        static_cast<unsigned long long>(node->inbox_overflows),
-                        static_cast<unsigned long long>(node->late_writes)));
-      nodes[n].reset();
-      --live;
     }
-    all_completed = false;
-    run.stats.failed = true;
-    if (run.stats.failure.empty()) {
-      run.stats.failure = why;
+    while (cursor < cn.arrivals.size() && cn.arrivals[cursor].window == w) {
+      ScheduleArrivalOn(node, cn.arrivals[cursor].arrival,
+                        cn.arrivals[cursor].payload);
+      ++cursor;
+    }
+    if (gossip_ && loop_.router_close_window != 0 &&
+        w == loop_.router_close_window) {
+      replay_router.Close();
+    }
+    if (gossip_ && loop_.inbox_close_window != 0 &&
+        w == loop_.inbox_close_window) {
+      node->inbox->Close(*node->machine);
+    }
+  }
+  if (gossip_) {
+    node->router = &router_;
+  }
+  if (cursor != cn.arrivals.size()) {
+    return false;  // An arrival tagged past the checkpoint window: corrupt.
+  }
+  return VerifyLine(*node) == cn.verify;
+}
+
+// Conservative time-windowed lock-step from the current window to the end:
+// every live node runs to the barrier, then the coordinator (this thread,
+// no shard running) applies the barrier's phases in a fixed order.
+ScaleRun Federation::Run() {
+  if (shards_ > 1) {
+    pool_ = std::make_unique<ThreadPool>(shards_);
+  }
+  while (live_ > 0) {
+    ++loop_.window_index;
+    const Cycles barrier = static_cast<Cycles>(loop_.window_index) * config_.window;
+    if (!StepWindow(barrier)) {
+      FoldFailed("watchdog",
+                 StrFormat("federation watchdog: window %llu exceeded %.3fs "
+                           "wall-clock",
+                           static_cast<unsigned long long>(loop_.window_index),
+                           wall_budget_));
+      break;
+    }
+    if (armed_) {
+      CrashAndRestart(barrier);
+    }
+    SampleMemory();
+    Exchange(barrier);
+    // Streaming fold: finished nodes are folded into the aggregate in node
+    // order and destroyed — constant live state, not O(total nodes).
+    for (size_t n = 0; n < nodes_.size(); ++n) {
+      const ScaleNode* node = nodes_[n].get();
+      if (node != nullptr && node->machine != nullptr && node->volano->Done()) {
+        Fold(n, nullptr);
+      }
+    }
+    // Simulated-time safety net: fold whatever is still live as failed,
+    // partial per-node stats and all.
+    if (live_ > 0 && barrier >= config_.deadline) {
+      FoldFailed("deadline",
+                 StrFormat("scale deadline exceeded: %d node(s) still live "
+                           "at window %llu",
+                           num_nodes_ - loop_.chats_done,
+                           static_cast<unsigned long long>(loop_.window_index)));
+      break;
+    }
+    if (live_ > 0 && CheckpointAndMaybeStop()) {
+      break;
+    }
+  }
+  Finish();
+  return run_;
+}
+
+// Advances every live node to the barrier. Node->shard assignment is
+// round-robin by node index; any assignment yields identical results (nodes
+// only interact through the fabric, drained at the barrier). Each shard
+// (the calling thread when shards_ == 1) arms a per-window wall-clock
+// watchdog: false means a livelocked node tripped it.
+bool Federation::StepWindow(Cycles barrier) {
+  const auto advance_shard = [this, barrier](int shard) {
+    std::optional<CellWatchdog> dog;
+    if (wall_budget_ > 0.0) {
+      dog.emplace(wall_budget_);
+    }
+    for (size_t n = static_cast<size_t>(shard); n < nodes_.size();
+         n += static_cast<size_t>(shards_)) {
+      ScaleNode* node = nodes_[n].get();
+      if (node != nullptr && !node->down) {
+        node->machine->engine().RunUntil(barrier - node->life.clock_offset);
+      }
     }
   };
-
-  // ---- Checkpoint machinery (scale_ckpt.h) ------------------------------
-
-  // Serializes the coordinator-visible federation state at the current
-  // (post-Exchange, post-fold) barrier.
-  const auto snapshot = [&] {
-    ScaleCheckpoint c;
-    c.config_fp = config_fp;
-    c.seed = config.seed;
-    c.window_index = window_index;
-    c.num_nodes = num_nodes;
-    c.chats_done = chats_done;
-    c.all_completed = all_completed;
-    c.inboxes_closed = inboxes_closed;
-    c.inbox_close_at = inbox_close_at;
-    c.router_close_window = router_close_window;
-    c.inbox_close_window = inbox_close_window;
-    c.digest = run.digest;
-    c.messages_sent = run.messages_sent;
-    c.messages_delivered = run.messages_delivered;
-    c.beacons_sent = run.beacons_sent;
-    c.beacons_received = run.beacons_received;
-    c.inbox_overflows = run.inbox_overflows;
-    c.late_writes = run.late_writes;
-    c.node_crashes = run.node_crashes;
-    c.node_restarts = run.node_restarts;
-    c.windows_degraded = run.windows_degraded;
-    c.retransmits = run.retransmits;
-    c.retx_abandoned = run.retx_abandoned;
-    c.dup_discards = run.dup_discards;
-    c.acks_sent = run.acks_sent;
-    c.acks_received = run.acks_received;
-    c.chat_messages_lost = run.chat_messages_lost;
-    c.crash_inflight_dropped = run.crash_inflight_dropped;
-    c.peak_live_tasks = run.peak_live_tasks;
-    c.peak_live_nodes = run.peak_live_nodes;
-    c.peak_task_arena_bytes = run.peak_task_arena_bytes;
-    c.peak_live_sockets = run.peak_live_sockets;
-    c.agg_stats = EncodeRunStats(run.stats);
-    c.fabric = router.ExportState();
-    for (const auto& owner : nodes) {
-      const ScaleNode* node = owner.get();
-      if (node == nullptr) {
-        continue;  // Folded: its contribution lives in digest/stats above.
+  try {
+    if (pool_ == nullptr) {
+      advance_shard(0);
+    } else {
+      for (int s = 0; s < shards_; ++s) {
+        pool_->Submit([&advance_shard, s] { advance_shard(s); });
       }
-      CkptNode cn;
-      cn.index = node->index;
-      cn.state = node->down ? 2 : 1;
-      cn.incarnation = node->incarnation;
-      cn.clock_offset = node->clock_offset;
-      cn.crashes = node->crashes;
-      cn.restart_window = node->restart_window;
-      cn.chat_done = node->chat_done;
-      cn.banked_sent = node->banked_sent;
-      cn.banked_delivered = node->banked_delivered;
-      cn.chat_messages_lost = node->chat_messages_lost;
-      cn.crash_inflight_dropped = node->crash_inflight_dropped;
-      if (node->down) {
-        // Nothing to replay: current values restore directly.
-        cn.beacons_sent = node->beacons_sent;
-        cn.beacons_received = node->beacons_received;
-        cn.inbox_overflows = node->inbox_overflows;
-        cn.late_writes = node->late_writes;
-        cn.last_remote_progress = node->last_remote_progress;
-        cn.retransmits = node->retransmits;
-        cn.retx_abandoned = node->retx_abandoned;
-        cn.dup_discards = node->dup_discards;
-        cn.acks_sent = node->acks_sent;
-        cn.acks_received = node->acks_received;
+      pool_->Wait();  // Rethrows the first shard exception, if any.
+    }
+  } catch (const CellDeadlineExceeded&) {
+    if (wall_budget_ <= 0.0) {
+      throw;  // The supervisor's cell watchdog, not ours.
+    }
+    return false;
+  }
+  return true;
+}
+
+// Failure plan at this barrier. Step 1 — crashes scheduled for this window:
+// the node's engine is torn down mid-scenario, queued inbox traffic is
+// discarded (peers see a reset inbox), scheduled arrivals die with the
+// engine, finished rooms' delivery quotas are banked, partial rooms are
+// lost and will re-run at restart.
+void Federation::CrashAndRestart(Cycles barrier) {
+  const FederationFaultPlan& faults = config_.faults;
+  for (auto& owner : nodes_) {
+    ScaleNode* node = owner.get();
+    if (node == nullptr || node->down || node->machine == nullptr ||
+        node->life.crashes > 0 || node->volano->ChatComplete() ||
+        !faults.NodeCrashes(node->index) ||
+        faults.CrashWindow(node->index) != loop_.window_index) {
+      continue;
+    }
+    NodeLifecycle& life = node->life;
+    node->inbox->ResetByPeer(*node->machine);
+    life.crash_inflight_dropped +=
+        node->pending_deliveries + node->inbox->stats().discarded;
+    node->pending_deliveries = 0;
+    MergeRunStats(&node->carried_stats, NodeRunStats(*node));
+    node->has_carried_stats = true;
+    const VolanoConfig& chat = node->volano->config();
+    const uint64_t room_quota_delivered =
+        static_cast<uint64_t>(chat.users_per_room) * chat.users_per_room *
+        chat.messages_per_user;
+    const uint64_t room_quota_sent =
+        static_cast<uint64_t>(chat.users_per_room) * chat.messages_per_user;
+    std::vector<int> unfinished;
+    for (int r = 0; r < chat.rooms; ++r) {
+      if (node->volano->RoomComplete(r)) {
+        life.banked_delivered += room_quota_delivered;
+        life.banked_sent += room_quota_sent;
       } else {
-        // Live: the boot snapshot; replay re-adds this incarnation's deltas.
-        const ScaleNode::FedSnapshot& b = node->boot_counters;
-        cn.beacons_sent = b.beacons_sent;
-        cn.beacons_received = b.beacons_received;
-        cn.inbox_overflows = b.inbox_overflows;
-        cn.late_writes = b.late_writes;
-        cn.last_remote_progress = b.last_remote_progress;
-        cn.retransmits = b.retransmits;
-        cn.retx_abandoned = b.retx_abandoned;
-        cn.dup_discards = b.dup_discards;
-        cn.acks_sent = b.acks_sent;
-        cn.acks_received = b.acks_received;
-        cn.arrivals = node->arrival_log;
-        cn.verify = VerifyLine(*node);
+        life.chat_messages_lost += node->volano->RoomDelivered(r);
+        unfinished.push_back(node->room_ids[static_cast<size_t>(r)]);
       }
-      cn.room_ids = node->room_ids;
-      if (node->has_carried_stats) {
-        cn.carried_stats = EncodeRunStats(node->carried_stats);
-      }
-      c.nodes.push_back(std::move(cn));
     }
-    return c;
-  };
+    node->room_ids = std::move(unfinished);
+    node->arrival_log.clear();  // Dead incarnation: never replayed.
+    // Teardown in the member-destruction order a folded node uses.
+    node->rx.reset();
+    node->tx.reset();
+    node->inbox.reset();
+    node->volano.reset();
+    node->machine.reset();
+    node->down = true;
+    life.restart_window = loop_.window_index + faults.DownWindows(node->index);
+    ++life.crashes;
+    ++run_.node_crashes;
+  }
+  // Step 2 — restarts due this window: rebuild the node with a derived seed
+  // over its unfinished rooms; its fresh engine starts at local t = 0,
+  // offset to the current barrier.
+  bool degraded = false;
+  for (auto& owner : nodes_) {
+    ScaleNode* node = owner.get();
+    if (node != nullptr && node->down &&
+        node->life.restart_window == loop_.window_index) {
+      ++node->life.incarnation;
+      node->life.clock_offset = barrier;
+      node->tx_acked = 0;  // The new incarnation's ids restart the link.
+      BootNode(node);
+      node->down = false;
+      ++run_.node_restarts;
+    }
+    degraded = degraded || (node != nullptr && node->down);
+  }
+  if (degraded) {
+    ++run_.windows_degraded;
+  }
+}
 
-  const auto write_checkpoint = [&] {
+// Memory high-water sampling across the live federation.
+void Federation::SampleMemory() {
+  uint64_t live_tasks = 0;
+  uint64_t arena_bytes = 0;
+  uint64_t sockets = 0;
+  for (const auto& node : nodes_) {
+    if (node == nullptr || node->machine == nullptr) {
+      continue;
+    }
+    live_tasks += node->machine->live_tasks();
+    arena_bytes += node->machine->task_arena_bytes();
+    sockets += node->volano->SocketCount() + (node->inbox ? 1 : 0);
+  }
+  run_.peak_live_tasks = std::max(run_.peak_live_tasks, live_tasks);
+  run_.peak_task_arena_bytes = std::max(run_.peak_task_arena_bytes, arena_bytes);
+  run_.peak_live_sockets = std::max(run_.peak_live_sockets, sockets);
+  run_.peak_live_nodes =
+      std::max(run_.peak_live_nodes, static_cast<uint64_t>(live_));
+}
+
+// Cross-node traffic exchange (deterministic node/emission order), then the
+// chat-completion scan: once the whole federation's chat is done the fabric
+// closes, and after one more latency the inboxes EOF so the receive relays
+// drain whatever is still in flight and exit.
+void Federation::Exchange(Cycles barrier) {
+  if (gossip_) {
+    // The sink runs here, with no shard advancing, so ScheduleAt into the
+    // destination engine is race-free; the event itself fires on whichever
+    // shard advances the destination through `arrival`.
+    router_.Exchange(barrier, [this](const FabricMessage& msg, Cycles arrival) {
+      ScaleNode* dst = nodes_[static_cast<size_t>(msg.dst_node)].get();
+      if (dst == nullptr) {
+        return FabricRouter::Delivery::kRefused;
+      }
+      if (dst->down || dst->machine == nullptr) {
+        return FabricRouter::Delivery::kDown;
+      }
+      if (dst->log_arrivals) {
+        dst->arrival_log.push_back(
+            CkptArrival{loop_.window_index, arrival, msg.payload});
+      }
+      ScheduleArrivalOn(dst, arrival, msg.payload);
+      return FabricRouter::Delivery::kDelivered;
+    });
+  }
+  for (const auto& node : nodes_) {
+    if (node != nullptr && node->machine != nullptr && !node->life.chat_done &&
+        node->volano->ChatComplete()) {
+      node->life.chat_done = true;
+      ++loop_.chats_done;
+    }
+  }
+  if (gossip_ && !router_.closed() && loop_.chats_done == num_nodes_) {
+    router_.Close();
+    loop_.inbox_close_at = barrier + latency_;
+    loop_.router_close_window = loop_.window_index;
+  }
+  if (!loop_.inboxes_closed && loop_.inbox_close_at != 0 &&
+      barrier >= loop_.inbox_close_at) {
+    for (const auto& node : nodes_) {
+      if (node != nullptr && node->machine != nullptr) {
+        node->inbox->Close(*node->machine);
+      }
+    }
+    loop_.inboxes_closed = true;
+    loop_.inbox_close_window = loop_.window_index;
+  }
+}
+
+// Folds node `n` into the aggregate and destroys it. With failed_tag null
+// the node's chat completed at this barrier; otherwise it is folded as
+// failed ("deadline" / "watchdog"), partial stats included, and its digest
+// record carries the tag in place of the window and no chat or recovery
+// block. Both record layouts are part of the pinned digest.
+void Federation::Fold(size_t n, const char* failed_tag) {
+  ScaleNode* node = nodes_[n].get();
+  RunStats stats;
+  uint64_t sent = 0;
+  uint64_t delivered = 0;
+  if (node->machine != nullptr) {
+    stats = NodeRunStats(*node);
+    sent = node->volano->messages_sent();
+    delivered = node->volano->messages_delivered();
+  }
+  if (node->has_carried_stats) {
+    // Dead incarnations' partial stats ride along with the final one.
+    MergeRunStats(&node->carried_stats, stats);
+    stats = node->carried_stats;
+  }
+  if (failed_tag != nullptr) {
+    stats.failed = true;
+  } else {
+    loop_.all_completed = loop_.all_completed && !stats.failed;
+  }
+  const NodeLifecycle& life = node->life;
+  const FedCounters& f = node->fed;
+  run_.messages_sent += sent + life.banked_sent;
+  run_.messages_delivered += delivered + life.banked_delivered;
+  run_.beacons_sent += f.beacons_sent;
+  run_.beacons_received += f.beacons_received;
+  run_.inbox_overflows += f.inbox_overflows;
+  run_.late_writes += f.late_writes;
+  run_.retransmits += f.retransmits;
+  run_.retx_abandoned += f.retx_abandoned;
+  run_.dup_discards += f.dup_discards;
+  run_.acks_sent += f.acks_sent;
+  run_.acks_received += f.acks_received;
+  run_.chat_messages_lost += life.chat_messages_lost;
+  run_.crash_inflight_dropped += life.crash_inflight_dropped;
+  MergeRunStats(&run_.stats, stats);
+
+  std::string record =
+      (failed_tag != nullptr
+           ? StrFormat("n%d@%s|", node->index, failed_tag)
+           : StrFormat("n%d@%llu|", node->index,
+                       static_cast<unsigned long long>(loop_.window_index))) +
+      RunStatsDigest(stats);
+  if (failed_tag == nullptr) {
+    record += StrFormat("|chat:%llu,%llu,%d", static_cast<unsigned long long>(sent),
+                        static_cast<unsigned long long>(delivered),
+                        node->volano->Done() ? 1 : 0);
+  }
+  record += StrFormat("|fed:%llu,%llu,%llu,%llu;",
+                      static_cast<unsigned long long>(f.beacons_sent),
+                      static_cast<unsigned long long>(f.beacons_received),
+                      static_cast<unsigned long long>(f.inbox_overflows),
+                      static_cast<unsigned long long>(f.late_writes));
+  if (failed_tag == nullptr && run_.fault_model) {
+    // The recovery block only exists under an armed plan — fault-free fold
+    // records stay byte-identical to the pre-failure-model layout.
+    record += StrFormat(
+        "|rec:%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu;", life.incarnation,
+        static_cast<unsigned long long>(life.banked_delivered),
+        static_cast<unsigned long long>(f.retransmits),
+        static_cast<unsigned long long>(f.retx_abandoned),
+        static_cast<unsigned long long>(f.dup_discards),
+        static_cast<unsigned long long>(f.acks_sent),
+        static_cast<unsigned long long>(f.acks_received),
+        static_cast<unsigned long long>(life.chat_messages_lost),
+        static_cast<unsigned long long>(life.crash_inflight_dropped));
+  }
+  run_.digest = Fnv1aFold(run_.digest, record);
+  nodes_[n].reset();
+  --live_;
+}
+
+// Folds every still-live node as failed and stamps the run's failure — the
+// deadline and watchdog exits.
+void Federation::FoldFailed(const char* tag, const std::string& why) {
+  for (size_t n = 0; n < nodes_.size(); ++n) {
+    if (nodes_[n] != nullptr) {
+      Fold(n, tag);
+    }
+  }
+  loop_.all_completed = false;
+  run_.stats.failed = true;
+  if (run_.stats.failure.empty()) {
+    run_.stats.failure = why;
+  }
+}
+
+// The end-of-barrier checkpoint, kill and shutdown points. True means the
+// stop-after test hook tripped: leave the loop with nodes still live.
+bool Federation::CheckpointAndMaybeStop() {
+  const uint64_t w = loop_.window_index;
+  const bool stop_here =
+      ckpt_.armed() && ckpt_.stop_after_window != 0 && w == ckpt_.stop_after_window;
+  if (ckpt_.armed()) {
+    const bool due = ckpt_.every > 0 && w % ckpt_.every == 0;
+    // Forced segments: the stop-after test hook, a pending graceful
+    // shutdown (flush state before unwinding), and the kill injector (the
+    // drill resumes from this very segment).
+    const bool forced = stop_here || ShutdownRequested() ||
+                        ScaleKillWindow() == static_cast<int64_t>(w);
     std::string error;
-    if (!WriteCheckpointSegment(ckpt, snapshot(), &error)) {
+    if ((due || forced) && !WriteCheckpointSegment(ckpt_, Snapshot(), &error)) {
       std::fprintf(stderr,
                    "elsc-scale: checkpoint write failed (continuing "
                    "uncheckpointed): %s\n",
                    error.c_str());
     }
-  };
-
-  // Reconstructs a live node by deterministic replay of its current
-  // incarnation: boot exactly as the original did (same derived seed), step
-  // window by window re-scheduling the logged arrivals at their original
-  // barriers, and re-apply the router-close / inbox-EOF transitions at the
-  // windows the coordinator originally performed them. The node's own
-  // re-emissions go into a throwaway per-node router — per node because the
-  // closed flag must flip at this node's original window (it gates the
-  // transmit relay's exit condition) — and are discarded: the originals
-  // already reached their destinations, which logged or folded them.
-  const auto replay_live_node = [&](ScaleNode* node, const CkptNode& cn) {
-    const uint64_t boot_window = node->incarnation == 0 ? 0 : cn.restart_window;
-    FabricRouter replay_router(num_nodes, window, latency);
-    if (gossip) {
-      node->router = &replay_router;
-    }
-    const FabricRouter::Sink discard = [](const FabricMessage&, Cycles) {
-      return FabricRouter::Delivery::kRefused;
-    };
-    size_t cursor = 0;
-    for (uint64_t w = boot_window; w <= window_index; ++w) {
-      const Cycles replay_barrier = static_cast<Cycles>(w) * window;
-      if (w > boot_window) {
-        // The original run advanced the node through window w before the
-        // barrier-w exchange. At the boot window itself the machine had not
-        // run yet: arrivals landed on the untouched fresh engine, and
-        // stepping it here would fire t=0 start events too early, changing
-        // event insertion order.
-        node->machine->engine().RunUntil(replay_barrier - node->clock_offset);
-        if (gossip) {
-          replay_router.Exchange(replay_barrier, discard);
-        }
-      }
-      while (cursor < cn.arrivals.size() && cn.arrivals[cursor].window == w) {
-        ScheduleArrivalOn(node, cn.arrivals[cursor].arrival,
-                          cn.arrivals[cursor].payload);
-        ++cursor;
-      }
-      if (gossip && router_close_window != 0 && w == router_close_window) {
-        replay_router.Close();
-      }
-      if (gossip && inbox_close_window != 0 && w == inbox_close_window) {
-        node->inbox->Close(*node->machine);
-      }
-    }
-    if (gossip) {
-      node->router = &router;
-    }
-    if (cursor != cn.arrivals.size()) {
-      return false;  // An arrival tagged past the checkpoint window: corrupt.
-    }
-    return VerifyLine(*node) == cn.verify;
-  };
-
-  // Installs one decoded checkpoint. False leaves partially-applied state —
-  // the caller must reset_state() before continuing.
-  const auto restore_from = [&](const ScaleCheckpoint& c) {
-    run.digest = c.digest;
-    run.messages_sent = c.messages_sent;
-    run.messages_delivered = c.messages_delivered;
-    run.beacons_sent = c.beacons_sent;
-    run.beacons_received = c.beacons_received;
-    run.inbox_overflows = c.inbox_overflows;
-    run.late_writes = c.late_writes;
-    run.node_crashes = c.node_crashes;
-    run.node_restarts = c.node_restarts;
-    run.windows_degraded = c.windows_degraded;
-    run.retransmits = c.retransmits;
-    run.retx_abandoned = c.retx_abandoned;
-    run.dup_discards = c.dup_discards;
-    run.acks_sent = c.acks_sent;
-    run.acks_received = c.acks_received;
-    run.chat_messages_lost = c.chat_messages_lost;
-    run.crash_inflight_dropped = c.crash_inflight_dropped;
-    run.peak_live_tasks = c.peak_live_tasks;
-    run.peak_live_nodes = c.peak_live_nodes;
-    run.peak_task_arena_bytes = c.peak_task_arena_bytes;
-    run.peak_live_sockets = c.peak_live_sockets;
-    if (!DecodeRunStats(c.agg_stats, &run.stats)) {
-      return false;
-    }
-    chats_done = c.chats_done;
-    all_completed = c.all_completed;
-    inboxes_closed = c.inboxes_closed;
-    inbox_close_at = c.inbox_close_at;
-    router_close_window = c.router_close_window;
-    inbox_close_window = c.inbox_close_window;
-    window_index = c.window_index;
-    router.ImportState(c.fabric);
-    live = 0;
-    for (const CkptNode& cn : c.nodes) {
-      auto node = make_node(cn.index);
-      node->incarnation = cn.incarnation;
-      node->clock_offset = cn.clock_offset;
-      node->crashes = cn.crashes;
-      node->restart_window = cn.restart_window;
-      node->chat_done = cn.chat_done;
-      node->banked_sent = cn.banked_sent;
-      node->banked_delivered = cn.banked_delivered;
-      node->chat_messages_lost = cn.chat_messages_lost;
-      node->crash_inflight_dropped = cn.crash_inflight_dropped;
-      node->beacons_sent = cn.beacons_sent;
-      node->beacons_received = cn.beacons_received;
-      node->inbox_overflows = cn.inbox_overflows;
-      node->late_writes = cn.late_writes;
-      node->last_remote_progress = cn.last_remote_progress;
-      node->retransmits = cn.retransmits;
-      node->retx_abandoned = cn.retx_abandoned;
-      node->dup_discards = cn.dup_discards;
-      node->acks_sent = cn.acks_sent;
-      node->acks_received = cn.acks_received;
-      node->room_ids = cn.room_ids;
-      if (!cn.carried_stats.empty()) {
-        if (!DecodeRunStats(cn.carried_stats, &node->carried_stats)) {
-          return false;
-        }
-        node->has_carried_stats = true;
-      }
-      // Cheap structural sanity before committing to a replay: a live
-      // node's boot barrier must match its clock offset and lie at or
-      // before the checkpoint window; a down node's restart must still be
-      // in the future.
-      const Cycles expect_offset =
-          cn.incarnation == 0 ? 0
-                              : static_cast<Cycles>(cn.restart_window) * window;
-      if (node->clock_offset != expect_offset || cn.room_ids.empty()) {
-        return false;
-      }
-      if (cn.state == 2) {
-        if (cn.restart_window <= c.window_index) {
-          return false;
-        }
-        node->down = true;
-      } else {
-        if (cn.incarnation > 0 && cn.restart_window > c.window_index) {
-          return false;
-        }
-        BootNode(node.get(), config);
-        if (!replay_live_node(node.get(), cn)) {
-          return false;
-        }
-        node->arrival_log = cn.arrivals;  // The next segment still needs it.
-      }
-      nodes[static_cast<size_t>(cn.index)] = std::move(node);
-      ++live;
-    }
-    return live > 0;
-  };
-
-  // Returns the function-local state to cold-start values after a rejected
-  // restore attempt (nodes, aggregate run, loop state, router).
-  const auto reset_state = [&] {
-    for (auto& node : nodes) {
-      node.reset();
-    }
-    ScaleRun fresh;
-    fresh.nodes = num_nodes;
-    fresh.shards = shards;
-    fresh.rooms = static_cast<uint64_t>(config.rooms);
-    fresh.connections = config.connections();
-    fresh.fault_model = armed;
-    fresh.digest = kFnvOffset;
-    run = fresh;
-    router.ImportState(virgin_router);
-    live = num_nodes;
-    chats_done = 0;
-    all_completed = true;
-    inbox_close_at = 0;
-    inboxes_closed = !gossip;
-    window_index = 0;
-    router_close_window = 0;
-    inbox_close_window = 0;
-  };
-
-  // Resumes from the newest valid segment. Every rejection — unreadable,
-  // torn, checksum-failed, wrong scenario, or post-replay verification
-  // mismatch — is logged with a one-line repro and the next-older segment
-  // is tried; false means cold start.
-  const auto try_restore = [&] {
-    if (!ckpt.armed()) {
-      return false;
-    }
-    for (const CheckpointSegmentInfo& seg :
-         ListCheckpointSegments(ckpt.path, config_fp)) {
-      std::string contents;
-      std::string why;
-      ScaleCheckpoint c;
-      if (!ReadFileToString(seg.path, &contents)) {
-        why = "unreadable";
-      } else if (!DecodeScaleCheckpoint(contents, &c, &why)) {
-        // `why` was set by the decoder.
-      } else if (c.config_fp != config_fp || c.seed != config.seed ||
-                 c.num_nodes != num_nodes) {
-        why = "scenario binding mismatch (fingerprint/seed/nodes)";
-      } else if (!restore_from(c)) {
-        why = "restore verification failed";
-        reset_state();
-      } else {
-        std::fprintf(
-            stderr,
-            "elsc-scale: resumed from %s (window %llu, %d node(s) live)\n",
-            seg.path.c_str(), static_cast<unsigned long long>(c.window_index),
-            live);
-        return true;
-      }
-      std::fprintf(stderr,
-                   "elsc-scale: rejected checkpoint %s: %s — repro: rerun "
-                   "with ELSC_SCALE_CKPT=%s and this file preserved\n",
-                   seg.path.c_str(), why.c_str(), ckpt.path.c_str());
-    }
-    return false;
-  };
-
-  if (!try_restore()) {
-    build_cold();
   }
-
-  while (live > 0) {
-    ++window_index;
-    const Cycles barrier = static_cast<Cycles>(window_index) * window;
-
-    // Advance every live node to the barrier. Node->shard assignment is
-    // round-robin by node index; any assignment yields identical results
-    // (nodes only interact through the fabric, drained below). Each shard
-    // thread (and the serial loop) arms a per-window wall-clock watchdog:
-    // a livelocked node fails the federation instead of hanging it.
-    bool wall_timeout = false;
-    try {
-      if (pool != nullptr) {
-        for (int s = 0; s < shards; ++s) {
-          pool->Submit([&nodes, s, shards, barrier, wall_budget] {
-            std::optional<CellWatchdog> dog;
-            if (wall_budget > 0.0) {
-              dog.emplace(wall_budget);
-            }
-            for (size_t n = static_cast<size_t>(s); n < nodes.size();
-                 n += static_cast<size_t>(shards)) {
-              ScaleNode* node = nodes[n].get();
-              if (node != nullptr && !node->down) {
-                node->machine->engine().RunUntil(barrier - node->clock_offset);
-              }
-            }
-          });
-        }
-        pool->Wait();  // Rethrows the first shard exception, if any.
-      } else {
-        std::optional<CellWatchdog> dog;
-        if (wall_budget > 0.0) {
-          dog.emplace(wall_budget);
-        }
-        for (auto& node : nodes) {
-          if (node != nullptr && !node->down) {
-            node->machine->engine().RunUntil(barrier - node->clock_offset);
-          }
-        }
-      }
-    } catch (const CellDeadlineExceeded&) {
-      if (wall_budget <= 0.0) {
-        throw;  // The supervisor's cell watchdog, not ours.
-      }
-      wall_timeout = true;
-    }
-    if (wall_timeout) {
-      fold_failed("watchdog",
-                  StrFormat("federation watchdog: window %llu exceeded %.3fs "
-                            "wall-clock",
-                            static_cast<unsigned long long>(window_index),
-                            wall_budget));
-      break;
-    }
-
-    // ---- Barrier (coordinator, single-threaded) ----
-    // Failure plan, step 1 — crashes scheduled for this window. The node's
-    // engine is torn down mid-scenario: queued inbox traffic is discarded
-    // (peers see a reset inbox), scheduled arrivals die with the engine,
-    // finished rooms' delivery quotas are banked, partial rooms are lost
-    // and will re-run at restart.
-    if (armed) {
-      for (auto& owner : nodes) {
-        ScaleNode* node = owner.get();
-        if (node == nullptr || node->down || node->machine == nullptr ||
-            node->crashes > 0 || node->volano->ChatComplete() ||
-            !config.faults.NodeCrashes(node->index) ||
-            config.faults.CrashWindow(node->index) != window_index) {
-          continue;
-        }
-        node->inbox->ResetByPeer(*node->machine);
-        node->crash_inflight_dropped +=
-            node->pending_deliveries + node->inbox->stats().discarded;
-        node->pending_deliveries = 0;
-        MergeRunStats(&node->carried_stats, NodeRunStats(*node));
-        node->has_carried_stats = true;
-        const VolanoConfig& chat = node->volano->config();
-        const uint64_t room_quota_delivered =
-            static_cast<uint64_t>(chat.users_per_room) * chat.users_per_room *
-            chat.messages_per_user;
-        const uint64_t room_quota_sent =
-            static_cast<uint64_t>(chat.users_per_room) * chat.messages_per_user;
-        std::vector<int> unfinished;
-        for (int r = 0; r < chat.rooms; ++r) {
-          if (node->volano->RoomComplete(r)) {
-            node->banked_delivered += room_quota_delivered;
-            node->banked_sent += room_quota_sent;
-          } else {
-            node->chat_messages_lost += node->volano->RoomDelivered(r);
-            unfinished.push_back(node->room_ids[static_cast<size_t>(r)]);
-          }
-        }
-        node->room_ids = std::move(unfinished);
-        node->arrival_log.clear();  // Dead incarnation: never replayed.
-        // Teardown in the member-destruction order a folded node uses.
-        node->rx.reset();
-        node->tx.reset();
-        node->inbox.reset();
-        node->volano.reset();
-        node->machine.reset();
-        node->down = true;
-        node->restart_window =
-            window_index + config.faults.DownWindows(node->index);
-        ++node->crashes;
-        ++run.node_crashes;
-      }
-      // Step 2 — restarts due this window: rebuild the node with a derived
-      // seed over its unfinished rooms; its fresh engine starts at local
-      // t = 0, offset to the current barrier.
-      for (auto& owner : nodes) {
-        ScaleNode* node = owner.get();
-        if (node == nullptr || !node->down ||
-            node->restart_window != window_index) {
-          continue;
-        }
-        ++node->incarnation;
-        node->clock_offset = barrier;
-        node->tx_acked = 0;  // The new incarnation's ids restart the link.
-        BootNode(node, config);
-        node->down = false;
-        ++run.node_restarts;
-      }
-      for (const auto& node : nodes) {
-        if (node != nullptr && node->down) {
-          ++run.windows_degraded;
-          break;
-        }
-      }
-    }
-
-    // Memory high-water sampling across the live federation.
-    uint64_t live_tasks = 0;
-    uint64_t arena_bytes = 0;
-    uint64_t sockets = 0;
-    for (const auto& node : nodes) {
-      if (node == nullptr || node->machine == nullptr) {
-        continue;
-      }
-      live_tasks += node->machine->live_tasks();
-      arena_bytes += node->machine->task_arena_bytes();
-      sockets += node->volano->SocketCount() + (node->inbox ? 1 : 0);
-    }
-    run.peak_live_tasks = std::max(run.peak_live_tasks, live_tasks);
-    run.peak_task_arena_bytes = std::max(run.peak_task_arena_bytes, arena_bytes);
-    run.peak_live_sockets = std::max(run.peak_live_sockets, sockets);
-    run.peak_live_nodes =
-        std::max(run.peak_live_nodes, static_cast<uint64_t>(live));
-
-    // Cross-node traffic exchange (deterministic node/emission order).
-    if (gossip) {
-      router.Exchange(barrier, sink);
-    }
-
-    // Chat-completion scan; once the whole federation's chat is done the
-    // fabric closes, and after one more latency the inboxes EOF so the
-    // receive relays drain whatever is still in flight and exit.
-    for (const auto& node : nodes) {
-      if (node != nullptr && node->machine != nullptr && !node->chat_done &&
-          node->volano->ChatComplete()) {
-        node->chat_done = true;
-        ++chats_done;
-      }
-    }
-    if (gossip && !router.closed() && chats_done == num_nodes) {
-      router.Close();
-      inbox_close_at = barrier + latency;
-      router_close_window = window_index;
-    }
-    if (!inboxes_closed && inbox_close_at != 0 && barrier >= inbox_close_at) {
-      for (const auto& node : nodes) {
-        if (node != nullptr && node->machine != nullptr) {
-          node->inbox->Close(*node->machine);
-        }
-      }
-      inboxes_closed = true;
-      inbox_close_window = window_index;
-    }
-
-    // Streaming fold: finished nodes are folded into the aggregate in node
-    // order and destroyed — constant live state, not O(total nodes).
-    for (size_t n = 0; n < nodes.size(); ++n) {
-      ScaleNode* node = nodes[n].get();
-      if (node == nullptr || node->machine == nullptr ||
-          !node->volano->Done()) {
-        continue;
-      }
-      node->completed_window = window_index;
-      RunStats node_stats = NodeRunStats(*node);
-      if (node->has_carried_stats) {
-        // Dead incarnations' partial stats ride along with the final one.
-        MergeRunStats(&node->carried_stats, node_stats);
-        node_stats = node->carried_stats;
-      }
-      const VolanoResult result = node->volano->Result();
-      all_completed = all_completed && result.completed && !node_stats.failed;
-      run.messages_sent += result.messages_sent + node->banked_sent;
-      run.messages_delivered += result.messages_delivered + node->banked_delivered;
-      run.beacons_sent += node->beacons_sent;
-      run.beacons_received += node->beacons_received;
-      run.inbox_overflows += node->inbox_overflows;
-      run.late_writes += node->late_writes;
-      run.retransmits += node->retransmits;
-      run.retx_abandoned += node->retx_abandoned;
-      run.dup_discards += node->dup_discards;
-      run.acks_sent += node->acks_sent;
-      run.acks_received += node->acks_received;
-      run.chat_messages_lost += node->chat_messages_lost;
-      run.crash_inflight_dropped += node->crash_inflight_dropped;
-      MergeRunStats(&run.stats, node_stats);
-      std::string record =
-          StrFormat("n%d@%llu|", node->index,
-                    static_cast<unsigned long long>(node->completed_window)) +
-          RunStatsDigest(node_stats) +
-          StrFormat("|chat:%llu,%llu,%d|fed:%llu,%llu,%llu,%llu;",
-                    static_cast<unsigned long long>(result.messages_sent),
-                    static_cast<unsigned long long>(result.messages_delivered),
-                    result.completed ? 1 : 0,
-                    static_cast<unsigned long long>(node->beacons_sent),
-                    static_cast<unsigned long long>(node->beacons_received),
-                    static_cast<unsigned long long>(node->inbox_overflows),
-                    static_cast<unsigned long long>(node->late_writes));
-      if (run.fault_model) {
-        // The recovery block only exists under an armed plan — fault-free
-        // fold records stay byte-identical to the pre-failure-model layout.
-        record += StrFormat(
-            "|rec:%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu;",
-            node->incarnation,
-            static_cast<unsigned long long>(node->banked_delivered),
-            static_cast<unsigned long long>(node->retransmits),
-            static_cast<unsigned long long>(node->retx_abandoned),
-            static_cast<unsigned long long>(node->dup_discards),
-            static_cast<unsigned long long>(node->acks_sent),
-            static_cast<unsigned long long>(node->acks_received),
-            static_cast<unsigned long long>(node->chat_messages_lost),
-            static_cast<unsigned long long>(node->crash_inflight_dropped));
-      }
-      run.digest = FnvFold(run.digest, record);
-      nodes[n].reset();
-      --live;
-    }
-
-    // Simulated-time safety net: fold whatever is still live as failed,
-    // partial per-node stats and all.
-    if (live > 0 && barrier >= config.deadline) {
-      fold_failed("deadline",
-                  StrFormat("scale deadline exceeded: %d node(s) still live "
-                            "at window %llu",
-                            num_nodes - chats_done,
-                            static_cast<unsigned long long>(window_index)));
-      break;
-    }
-
-    // ---- Checkpoint / kill / shutdown points (end of barrier) ----
-    if (live > 0) {
-      if (ckpt.armed()) {
-        const bool due = ckpt.every > 0 && window_index % ckpt.every == 0;
-        // Forced segments: the stop-after test hook, a pending graceful
-        // shutdown (flush state before unwinding), and the kill injector
-        // (the drill resumes from this very segment).
-        const bool forced =
-            (ckpt.stop_after_window != 0 &&
-             window_index == ckpt.stop_after_window) ||
-            ShutdownRequested() ||
-            ScaleKillWindow() == static_cast<int64_t>(window_index);
-        if (due || forced) {
-          write_checkpoint();
-        }
-      }
-      MaybeKillAtScaleWindow(window_index);
-      if (ShutdownRequested()) {
-        throw GracefulShutdownRequested{};
-      }
-      if (ckpt.armed() && ckpt.stop_after_window != 0 &&
-          window_index == ckpt.stop_after_window) {
-        stopped_early = true;
-        break;
-      }
-    }
+  MaybeKillAtScaleWindow(w);
+  if (ShutdownRequested()) {
+    throw GracefulShutdownRequested{};
   }
+  return stop_here;
+}
 
-  run.windows = window_index;
-  // stopped_early leaves nodes live: a deliberately-partial run (the test
-  // stand-in for a mid-scenario kill) is never "completed".
-  run.completed = all_completed && live == 0;
-  run.fabric = router.stats();
+// Serializes the coordinator-visible federation state at the current
+// (post-Exchange, post-fold) barrier.
+ScaleCheckpoint Federation::Snapshot() const {
+  ScaleCheckpoint c;
+  c.config_fp = config_fp_;
+  c.seed = config_.seed;
+  c.num_nodes = num_nodes_;
+  c.loop = loop_;
+  c.totals = run_;
+  c.agg_stats = EncodeRunStats(run_.stats);
+  c.fabric = router_.ExportState();
+  for (const auto& owner : nodes_) {
+    const ScaleNode* node = owner.get();
+    if (node == nullptr) {
+      continue;  // Folded: its contribution lives in digest/stats above.
+    }
+    CkptNode cn;
+    cn.index = node->index;
+    cn.state = node->down ? 2 : 1;
+    cn.life = node->life;
+    cn.room_ids = node->room_ids;
+    if (node->down) {
+      cn.fed = node->fed;  // Nothing to replay: current values restore directly.
+    } else {
+      // Live: the boot snapshot; replay re-adds this incarnation's deltas.
+      cn.fed = node->boot_fed;
+      cn.arrivals = node->arrival_log;
+      cn.verify = VerifyLine(*node);
+    }
+    if (node->has_carried_stats) {
+      cn.carried_stats = EncodeRunStats(node->carried_stats);
+    }
+    c.nodes.push_back(std::move(cn));
+  }
+  return c;
+}
+
+// Derives the run's summary fields and folds the scenario trailer into the
+// digest.
+void Federation::Finish() {
+  ScaleRun& run = run_;
+  run.windows = loop_.window_index;
+  // A stop-after run leaves nodes live: a deliberately-partial run (the
+  // test stand-in for a mid-scenario kill) is never "completed".
+  run.completed = loop_.all_completed && live_ == 0;
+  run.fabric = router_.stats();
   run.deliveries_lost = run.beacons_sent > run.beacons_received
                             ? run.beacons_sent - run.beacons_received
                             : 0;
@@ -1332,11 +1115,12 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
   // Goodput under faults: deliveries per simulated second of *federation*
   // runtime — downtime, degraded windows, and re-run rooms all stretch the
   // denominator, unlike throughput's max-node-elapsed.
-  const double federation_sec = CyclesToSec(static_cast<Cycles>(run.windows) * window);
+  const double federation_sec =
+      CyclesToSec(static_cast<Cycles>(run.windows) * config_.window);
   run.goodput = federation_sec > 0
                     ? static_cast<double>(run.messages_delivered) / federation_sec
                     : 0.0;
-  run.digest = FnvFold(
+  run.digest = Fnv1aFold(
       run.digest,
       StrFormat("windows:%llu|fabric:%llu,%llu,%llu,%llu|peaks:%llu,%llu,%llu,%llu",
                 static_cast<unsigned long long>(run.windows),
@@ -1349,7 +1133,7 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
                 static_cast<unsigned long long>(run.peak_task_arena_bytes),
                 static_cast<unsigned long long>(run.peak_live_sockets)));
   if (run.fault_model) {
-    run.digest = FnvFold(
+    run.digest = Fnv1aFold(
         run.digest,
         StrFormat("|chaos:%llu,%llu,%llu,%llu,%llu,%llu,%llu|drops:%llu,%llu,%llu,%llu,%llu",
                   static_cast<unsigned long long>(run.node_crashes),
@@ -1365,13 +1149,81 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
                   static_cast<unsigned long long>(run.fabric.dropped_lane_overflow),
                   static_cast<unsigned long long>(run.fabric.duplicated)));
   }
-  if (ckpt.armed() && live == 0 && !run.stats.failed) {
+  if (ckpt_.armed() && live_ == 0 && !run.stats.failed) {
     // Clean completion: stale segments must never resurrect a finished
     // scenario (a same-fingerprint rerun starts cold). Failed runs keep
     // theirs for post-mortem.
-    RemoveCheckpointSegments(ckpt.path, config_fp);
+    RemoveCheckpointSegments(ckpt_.path, config_fp_);
   }
-  return run;
+}
+
+// Resumes from the newest valid segment. Every rejection — unreadable,
+// torn, checksum-failed, wrong scenario, or post-replay verification
+// mismatch — is logged with a one-line repro, the half-restored Federation
+// is discarded, and the next-older segment is tried; null means cold start.
+std::unique_ptr<Federation> ResumeFromCheckpoint(
+    const ScaleConfig& config, int shards, const ScaleCheckpointOptions& ckpt,
+    uint64_t config_fp) {
+  if (!ckpt.armed()) {
+    return nullptr;
+  }
+  for (const CheckpointSegmentInfo& seg :
+       ListCheckpointSegments(ckpt.path, config_fp)) {
+    std::string contents;
+    std::string why;
+    ScaleCheckpoint c;
+    if (!ReadFileToString(seg.path, &contents)) {
+      why = "unreadable";
+    } else if (!DecodeScaleCheckpoint(contents, &c, &why)) {
+      // `why` was set by the decoder.
+    } else if (c.config_fp != config_fp || c.seed != config.seed ||
+               c.num_nodes != config.nodes()) {
+      why = "scenario binding mismatch (fingerprint/seed/nodes)";
+    } else {
+      auto fed = std::make_unique<Federation>(config, shards, ckpt, config_fp);
+      if (fed->Restore(c)) {
+        std::fprintf(
+            stderr, "elsc-scale: resumed from %s (window %llu, %d node(s) live)\n",
+            seg.path.c_str(), static_cast<unsigned long long>(c.loop.window_index),
+            fed->live());
+        return fed;
+      }
+      why = "restore verification failed";
+    }
+    std::fprintf(stderr,
+                 "elsc-scale: rejected checkpoint %s: %s — repro: rerun "
+                 "with ELSC_SCALE_CKPT=%s and this file preserved\n",
+                 seg.path.c_str(), why.c_str(), ckpt.path.c_str());
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+ScaleRun RunShardedVolano(const ScaleConfig& config, int shards) {
+  const int num_nodes = config.nodes();
+  ELSC_CHECK_MSG(config.rooms >= 1 && num_nodes >= 1, "scale scenario needs rooms");
+  ELSC_CHECK_MSG(config.window > 0, "scale window must be positive");
+  ELSC_CHECK_MSG(FabricLatency(config) >= config.window,
+                 "conservative rule: fabric latency must be >= the window");
+  shards = std::clamp(shards <= 0 ? 1 : shards, 1, num_nodes);
+
+  // Checkpoint knobs: explicit config wins, else the ELSC_SCALE_CKPT*
+  // environment, else disabled. The fingerprint binds segments to this exact
+  // scenario (and names them, so concurrent sweep cells never collide).
+  ScaleCheckpointOptions ckpt = config.ckpt;
+  if (ckpt.path.empty()) {
+    ckpt = ScaleCheckpointOptions::FromEnv();
+  }
+  const uint64_t config_fp = ckpt.armed() ? ScaleConfigFingerprint(config) : 0;
+
+  std::unique_ptr<Federation> fed =
+      ResumeFromCheckpoint(config, shards, ckpt, config_fp);
+  if (fed == nullptr) {
+    fed = std::make_unique<Federation>(config, shards, ckpt, config_fp);
+    fed->Build();
+  }
+  return fed->Run();
 }
 
 std::string ScaleRunSignature(const ScaleRun& run) {

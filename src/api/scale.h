@@ -120,7 +120,9 @@ struct ScaleConfig {
 
 // Aggregate result of one sharded scenario. Everything except `shards` is a
 // pure function of the ScaleConfig (shards is recorded for reporting only).
-struct ScaleRun {
+// The counters, peaks and digest a checkpoint carries live in ScaleTotals
+// (scale_ckpt.h).
+struct ScaleRun : ScaleTotals {
   bool completed = false;
   int nodes = 0;
   int shards = 0;            // Execution detail; excluded from the digest.
@@ -128,56 +130,22 @@ struct ScaleRun {
   uint64_t rooms = 0;
   uint64_t connections = 0;
 
-  // Chat totals across nodes.
-  uint64_t messages_sent = 0;
-  uint64_t messages_delivered = 0;
   double elapsed_sec = 0.0;  // Max node completion time (simulated).
   double throughput = 0.0;   // Deliveries per simulated second, aggregate.
-
-  // Federation traffic.
-  uint64_t beacons_sent = 0;      // Unique beacons (retransmits not counted).
-  uint64_t beacons_received = 0;  // Unique beacons processed by receivers.
-  uint64_t inbox_overflows = 0;  // Deliveries refused by a full inbox.
-  uint64_t late_writes = 0;      // Deliveries landing on a closed inbox.
   FabricStats fabric;
 
-  // -- Availability accounting (failure model; all zero fault-free).
   bool fault_model = false;       // config.faults.Enabled() — gates the
                                   // fault blocks in digest/signature/JSON.
-  uint64_t node_crashes = 0;
-  uint64_t node_restarts = 0;
-  uint64_t windows_degraded = 0;  // Barriers with >= 1 node down.
   uint64_t deliveries_lost = 0;   // Beacons emitted but never processed.
-  uint64_t retransmits = 0;       // Beacon re-emissions by the protocol.
-  uint64_t retx_abandoned = 0;    // Unacked beacons given up on (retries
-                                  // exhausted or buffer overflow).
-  uint64_t dup_discards = 0;      // Received beacons discarded as duplicates.
-  uint64_t acks_sent = 0;
-  uint64_t acks_received = 0;
-  uint64_t crash_inflight_dropped = 0;  // Fabric deliveries destroyed with a
-                                        // crashing node (inbox + scheduled).
-  uint64_t chat_messages_lost = 0;  // Partial-room chat work a crash threw
-                                    // away (re-run after restart).
   // Deliveries per simulated second of total federation runtime (windows x
   // window), downtime and re-run windows included — the goodput-under-faults
   // metric. Equals throughput's denominator-free sibling fault-free.
   double goodput = 0.0;
 
   // Folded per-node stats (MergeRunStats: counters summed, peaks summed —
-  // the total-footprint bound; see the concurrent peaks below for true
+  // the total-footprint bound; see the concurrent peaks for true
   // coexistence maxima).
   RunStats stats;
-
-  // Concurrent peaks sampled at every window barrier across live nodes.
-  uint64_t peak_live_tasks = 0;
-  uint64_t peak_live_nodes = 0;
-  uint64_t peak_task_arena_bytes = 0;
-  uint64_t peak_live_sockets = 0;
-
-  // Streaming FNV-1a fold over every node's completion record (node index,
-  // completion window, RunStatsDigest, chat + federation counters) plus the
-  // scenario trailer. Two runs are bit-identical iff digests match.
-  uint64_t digest = 0;
 };
 
 // FNV-1a over a canonical encoding of every behavior-shaping ScaleConfig

@@ -9,6 +9,7 @@
 
 #include "src/api/scale.h"
 #include "src/base/atomic_file.h"
+#include "src/base/fnv.h"
 #include "src/base/string_util.h"
 #include "src/harness/journal.h"
 
@@ -16,35 +17,39 @@ namespace elsc {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
+// Appends space-terminated tokens: the encode half of the field lists below
+// (TokenReader is the decode half).
+class TokenWriter {
+ public:
+  explicit TokenWriter(std::string* out) : out_(out) {}
 
-uint64_t Fnv64(const char* data, size_t size) {
-  uint64_t h = kFnvOffset;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
+  bool U64(uint64_t v) {
+    *out_ += StrFormat("%llu ", static_cast<unsigned long long>(v));
+    return true;
   }
-  return h;
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  *out += StrFormat("%llu ", static_cast<unsigned long long>(v));
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  *out += StrFormat("%lld ", static_cast<long long>(v));
-}
-
-void AppendHex64(std::string* out, uint64_t v) {
-  *out += StrFormat("%016llx ", static_cast<unsigned long long>(v));
-}
-
-void AppendF64(std::string* out, double v) {
+  bool Int(int64_t v) {
+    *out_ += StrFormat("%lld ", static_cast<long long>(v));
+    return true;
+  }
+  bool Hex64(uint64_t v) {
+    *out_ += StrFormat("%016llx ", static_cast<unsigned long long>(v));
+    return true;
+  }
+  bool Bool(bool v) { return U64(v ? 1 : 0); }
   // %a hex-float: exact round-trip, no precision loss (the journal codec
   // discipline from src/api/simulation.cc).
-  *out += StrFormat("%a ", v);
-}
+  bool F64(double v) {
+    *out_ += StrFormat("%a ", v);
+    return true;
+  }
+  template <typename V>
+  bool Count(const V& v) {
+    return U64(v.size());
+  }
+
+ private:
+  std::string* out_;
+};
 
 // Strict space-separated token scanner; every getter returns false on a
 // missing or malformed token, so a decoder can reject torn lines instead of
@@ -53,51 +58,41 @@ class TokenReader {
  public:
   explicit TokenReader(std::string s) : s_(std::move(s)) {}
 
-  bool U64(uint64_t* out) {
+  bool U64(uint64_t& out) { return Parse(&out, 10); }
+  bool Hex64(uint64_t& out) { return Parse(&out, 16); }
+
+  bool Int(int& out) {
     SkipSpaces();
     if (pos_ >= s_.size()) {
       return false;
     }
     char* end = nullptr;
-    *out = std::strtoull(s_.c_str() + pos_, &end, 10);
-    return Advance(end);
-  }
-
-  bool I64(int64_t* out) {
-    SkipSpaces();
-    if (pos_ >= s_.size()) {
+    const long long v = std::strtoll(s_.c_str() + pos_, &end, 10);
+    if (!Advance(end) || v < INT32_MIN || v > INT32_MAX) {
       return false;
     }
-    char* end = nullptr;
-    *out = std::strtoll(s_.c_str() + pos_, &end, 10);
-    return Advance(end);
-  }
-
-  bool Hex64(uint64_t* out) {
-    SkipSpaces();
-    if (pos_ >= s_.size()) {
-      return false;
-    }
-    char* end = nullptr;
-    *out = std::strtoull(s_.c_str() + pos_, &end, 16);
-    return Advance(end);
-  }
-
-  bool Bool(bool* out) {
-    uint64_t v = 0;
-    if (!U64(&v) || v > 1) {
-      return false;
-    }
-    *out = v != 0;
+    out = static_cast<int>(v);
     return true;
   }
 
-  bool Int(int* out) {
-    int64_t v = 0;
-    if (!I64(&v) || v < INT32_MIN || v > INT32_MAX) {
+  bool Bool(bool& out) {
+    uint64_t v = 0;
+    if (!U64(v) || v > 1) {
       return false;
     }
-    *out = static_cast<int>(v);
+    out = v != 0;
+    return true;
+  }
+
+  // A list length. Every element takes at least two bytes (" 0"), so a
+  // count the rest of the line cannot hold is rejected before allocating.
+  template <typename V>
+  bool Count(V& v) {
+    uint64_t n = 0;
+    if (!U64(n) || n > (s_.size() - pos_) / 2) {
+      return false;
+    }
+    v.resize(n);
     return true;
   }
 
@@ -107,6 +102,15 @@ class TokenReader {
   }
 
  private:
+  bool Parse(uint64_t* out, int base) {
+    SkipSpaces();
+    if (pos_ >= s_.size()) {
+      return false;
+    }
+    char* end = nullptr;
+    *out = std::strtoull(s_.c_str() + pos_, &end, base);
+    return Advance(end);
+  }
   void SkipSpaces() {
     while (pos_ < s_.size() && s_[pos_] == ' ') {
       ++pos_;
@@ -127,6 +131,87 @@ class TokenReader {
   size_t pos_ = 0;
 };
 
+// One field list per record type, driving both EncodeScaleCheckpoint (Io =
+// TokenWriter over a const record) and DecodeScaleCheckpoint (Io =
+// TokenReader): a field added or reordered here changes both halves.
+
+// "run": the aggregate run-so-far, then the coordinator loop state (whose
+// window index rides in the header).
+template <typename Io, typename Ck>
+bool RunFields(Io& io, Ck& ck) {
+  auto& t = ck.totals;
+  auto& l = ck.loop;
+  return io.Hex64(t.digest) && io.U64(t.messages_sent) &&
+         io.U64(t.messages_delivered) && io.U64(t.beacons_sent) &&
+         io.U64(t.beacons_received) && io.U64(t.inbox_overflows) &&
+         io.U64(t.late_writes) && io.U64(t.node_crashes) &&
+         io.U64(t.node_restarts) && io.U64(t.windows_degraded) &&
+         io.U64(t.retransmits) && io.U64(t.retx_abandoned) &&
+         io.U64(t.dup_discards) && io.U64(t.acks_sent) &&
+         io.U64(t.acks_received) && io.U64(t.chat_messages_lost) &&
+         io.U64(t.crash_inflight_dropped) && io.U64(t.peak_live_tasks) &&
+         io.U64(t.peak_live_nodes) && io.U64(t.peak_task_arena_bytes) &&
+         io.U64(t.peak_live_sockets) && io.Int(l.chats_done) &&
+         io.Bool(l.all_completed) && io.Bool(l.inboxes_closed) &&
+         io.U64(l.inbox_close_at) && io.U64(l.router_close_window) &&
+         io.U64(l.inbox_close_window);
+}
+
+// "fabric": the router cursor (lanes are empty at a post-Exchange barrier).
+template <typename Io, typename F>
+bool FabricFields(Io& io, F& f) {
+  auto& s = f.stats;
+  if (!(io.Bool(f.closed) && io.U64(s.emitted) && io.U64(s.routed) &&
+        io.U64(s.refused) && io.U64(s.dropped_closed) && io.U64(s.exchanges) &&
+        io.U64(s.max_window_backlog) && io.U64(s.dropped_loss) &&
+        io.U64(s.dropped_partition) && io.U64(s.dropped_crashed) &&
+        io.U64(s.dropped_lane_overflow) && io.U64(s.duplicated) &&
+        io.Count(f.next_seq))) {
+    return false;
+  }
+  for (auto& seq : f.next_seq) {
+    if (!io.U64(seq)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// "node": identity, lifecycle, federation counters, then the room list.
+template <typename Io, typename N>
+bool NodeFields(Io& io, N& n) {
+  auto& l = n.life;
+  auto& f = n.fed;
+  if (!(io.Int(n.index) && io.Int(n.state) && io.Int(l.incarnation) &&
+        io.U64(l.clock_offset) && io.U64(l.crashes) &&
+        io.U64(l.restart_window) && io.Bool(l.chat_done) &&
+        io.U64(l.banked_sent) && io.U64(l.banked_delivered) &&
+        io.U64(l.chat_messages_lost) && io.U64(l.crash_inflight_dropped) &&
+        io.U64(f.beacons_sent) && io.U64(f.beacons_received) &&
+        io.U64(f.inbox_overflows) && io.U64(f.late_writes) &&
+        io.U64(f.last_remote_progress) && io.U64(f.retransmits) &&
+        io.U64(f.retx_abandoned) && io.U64(f.dup_discards) &&
+        io.U64(f.acks_sent) && io.U64(f.acks_received) &&
+        io.Count(n.room_ids))) {
+    return false;
+  }
+  for (auto& room : n.room_ids) {
+    if (!io.Int(room)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// "arr": one logged arrival, tagged with its owning node's index.
+template <typename Io, typename Owner, typename A>
+bool ArrivalFields(Io& io, Owner& owner, A& a) {
+  return io.Int(owner) && io.U64(a.window) && io.U64(a.arrival) &&
+         io.U64(a.payload.id) && io.Int(a.payload.sender) &&
+         io.Int(a.payload.room) && io.U64(a.payload.sent_at) &&
+         io.U64(a.payload.payload);
+}
+
 bool StartsWith(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
@@ -135,73 +220,74 @@ bool StartsWith(const std::string& s, const char* prefix) {
 
 uint64_t ScaleConfigFingerprint(const ScaleConfig& c) {
   std::string enc = "scalefp v1 ";
+  TokenWriter w(&enc);
   // Scenario shape + per-node machine.
-  AppendI64(&enc, c.rooms);
-  AppendI64(&enc, c.rooms_per_node);
-  AppendI64(&enc, static_cast<int64_t>(c.kernel));
-  AppendI64(&enc, static_cast<int64_t>(c.scheduler));
-  AppendU64(&enc, c.seed);
+  w.Int(c.rooms);
+  w.Int(c.rooms_per_node);
+  w.Int(static_cast<int64_t>(c.kernel));
+  w.Int(static_cast<int64_t>(c.scheduler));
+  w.U64(c.seed);
   // Lock-step / federation timing.
-  AppendU64(&enc, c.window);
-  AppendU64(&enc, c.fabric_latency);
-  AppendU64(&enc, c.gossip_period);
-  AppendU64(&enc, c.beacon_cycles);
-  AppendU64(&enc, c.gossip_process_cycles);
-  AppendU64(&enc, c.fabric_inbox_capacity);
-  AppendU64(&enc, c.deadline);
+  w.U64(c.window);
+  w.U64(c.fabric_latency);
+  w.U64(c.gossip_period);
+  w.U64(c.beacon_cycles);
+  w.U64(c.gossip_process_cycles);
+  w.U64(c.fabric_inbox_capacity);
+  w.U64(c.deadline);
   // Chat workload (every field of VolanoConfig shapes behavior).
   const VolanoConfig& v = c.chat;
-  AppendI64(&enc, v.rooms);
-  AppendI64(&enc, v.users_per_room);
-  AppendI64(&enc, v.messages_per_user);
-  AppendF64(&enc, v.yield_probability);
-  AppendI64(&enc, v.max_yield_spin);
-  AppendU64(&enc, v.yield_spin_cycles);
-  AppendI64(&enc, v.spin_yields_before_block);
-  AppendI64(&enc, v.lock_spin_yields);
-  AppendU64(&enc, v.lock_acquire_cycles);
-  AppendU64(&enc, v.accept_work_cycles);
-  AppendU64(&enc, v.accept_latency_mean);
-  AppendI64(&enc, v.connect_spin_yields);
-  AppendI64(&enc, v.ack_spin_yields);
-  AppendU64(&enc, v.compose_cycles);
-  AppendU64(&enc, v.client_process_cycles);
-  AppendU64(&enc, v.server_parse_cycles);
-  AppendU64(&enc, v.broadcast_enqueue_cycles);
-  AppendU64(&enc, v.server_write_cycles);
-  AppendU64(&enc, v.syscall_cycles);
-  AppendF64(&enc, v.work_jitter);
-  AppendU64(&enc, v.socket_capacity);
-  AppendU64(&enc, v.outqueue_capacity);
-  AppendU64(&enc, v.churn ? 1 : 0);
-  AppendU64(&enc, v.ack_timeout);
-  AppendU64(&enc, v.backoff.base);
-  AppendU64(&enc, v.backoff.max);
-  AppendI64(&enc, v.backoff.max_retries);
+  w.Int(v.rooms);
+  w.Int(v.users_per_room);
+  w.Int(v.messages_per_user);
+  w.F64(v.yield_probability);
+  w.Int(v.max_yield_spin);
+  w.U64(v.yield_spin_cycles);
+  w.Int(v.spin_yields_before_block);
+  w.Int(v.lock_spin_yields);
+  w.U64(v.lock_acquire_cycles);
+  w.U64(v.accept_work_cycles);
+  w.U64(v.accept_latency_mean);
+  w.Int(v.connect_spin_yields);
+  w.Int(v.ack_spin_yields);
+  w.U64(v.compose_cycles);
+  w.U64(v.client_process_cycles);
+  w.U64(v.server_parse_cycles);
+  w.U64(v.broadcast_enqueue_cycles);
+  w.U64(v.server_write_cycles);
+  w.U64(v.syscall_cycles);
+  w.F64(v.work_jitter);
+  w.U64(v.socket_capacity);
+  w.U64(v.outqueue_capacity);
+  w.U64(v.churn ? 1 : 0);
+  w.U64(v.ack_timeout);
+  w.U64(v.backoff.base);
+  w.U64(v.backoff.max);
+  w.Int(v.backoff.max_retries);
   // Federation failure model.
   const FederationFaultPlan& f = c.faults;
-  AppendU64(&enc, f.seed);
-  AppendF64(&enc, f.node_crash_rate);
-  AppendU64(&enc, f.crash_window_min);
-  AppendU64(&enc, f.crash_window_span);
-  AppendU64(&enc, f.down_windows_min);
-  AppendU64(&enc, f.down_windows_span);
-  AppendF64(&enc, f.link_partition_rate);
-  AppendU64(&enc, f.partition_window_min);
-  AppendU64(&enc, f.partition_window_span);
-  AppendU64(&enc, f.partition_duration_min);
-  AppendU64(&enc, f.partition_duration_span);
-  AppendF64(&enc, f.loss_rate);
-  AppendF64(&enc, f.dup_rate);
+  w.U64(f.seed);
+  w.F64(f.node_crash_rate);
+  w.U64(f.crash_window_min);
+  w.U64(f.crash_window_span);
+  w.U64(f.down_windows_min);
+  w.U64(f.down_windows_span);
+  w.F64(f.link_partition_rate);
+  w.U64(f.partition_window_min);
+  w.U64(f.partition_window_span);
+  w.U64(f.partition_duration_min);
+  w.U64(f.partition_duration_span);
+  w.F64(f.loss_rate);
+  w.F64(f.dup_rate);
   // Recovery protocol.
-  AppendU64(&enc, c.retransmit ? 1 : 0);
-  AppendU64(&enc, c.retransmit_backoff.base);
-  AppendU64(&enc, c.retransmit_backoff.max);
-  AppendI64(&enc, c.retransmit_backoff.max_retries);
-  AppendU64(&enc, c.retransmit_buffer);
-  AppendU64(&enc, c.recovery_gap_span);
-  AppendU64(&enc, c.fabric_lane_capacity);
-  return Fnv64(enc.data(), enc.size());
+  w.U64(c.retransmit ? 1 : 0);
+  w.U64(c.retransmit_backoff.base);
+  w.U64(c.retransmit_backoff.max);
+  w.Int(c.retransmit_backoff.max_retries);
+  w.U64(c.retransmit_buffer);
+  w.U64(c.recovery_gap_span);
+  w.U64(c.fabric_lane_capacity);
+  return Fnv1a64(enc);
 }
 
 ScaleCheckpointOptions ScaleCheckpointOptions::FromEnv() {
@@ -231,87 +317,16 @@ std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
       "elscscale v1 fp=%016llx seed=%llu window=%llu nodes=%d\n",
       static_cast<unsigned long long>(ck.config_fp),
       static_cast<unsigned long long>(ck.seed),
-      static_cast<unsigned long long>(ck.window_index), ck.num_nodes);
-
+      static_cast<unsigned long long>(ck.loop.window_index), ck.num_nodes);
+  TokenWriter w(&out);
   out += "run ";
-  AppendHex64(&out, ck.digest);
-  AppendU64(&out, ck.messages_sent);
-  AppendU64(&out, ck.messages_delivered);
-  AppendU64(&out, ck.beacons_sent);
-  AppendU64(&out, ck.beacons_received);
-  AppendU64(&out, ck.inbox_overflows);
-  AppendU64(&out, ck.late_writes);
-  AppendU64(&out, ck.node_crashes);
-  AppendU64(&out, ck.node_restarts);
-  AppendU64(&out, ck.windows_degraded);
-  AppendU64(&out, ck.retransmits);
-  AppendU64(&out, ck.retx_abandoned);
-  AppendU64(&out, ck.dup_discards);
-  AppendU64(&out, ck.acks_sent);
-  AppendU64(&out, ck.acks_received);
-  AppendU64(&out, ck.chat_messages_lost);
-  AppendU64(&out, ck.crash_inflight_dropped);
-  AppendU64(&out, ck.peak_live_tasks);
-  AppendU64(&out, ck.peak_live_nodes);
-  AppendU64(&out, ck.peak_task_arena_bytes);
-  AppendU64(&out, ck.peak_live_sockets);
-  AppendI64(&out, ck.chats_done);
-  AppendU64(&out, ck.all_completed ? 1 : 0);
-  AppendU64(&out, ck.inboxes_closed ? 1 : 0);
-  AppendU64(&out, ck.inbox_close_at);
-  AppendU64(&out, ck.router_close_window);
-  AppendU64(&out, ck.inbox_close_window);
+  RunFields(w, ck);
+  out += "\nstats " + JournalEscape(ck.agg_stats) + "\nfabric ";
+  FabricFields(w, ck.fabric);
   out += '\n';
-
-  out += "stats " + JournalEscape(ck.agg_stats) + "\n";
-
-  out += "fabric ";
-  AppendU64(&out, ck.fabric.closed ? 1 : 0);
-  const FabricStats& fs = ck.fabric.stats;
-  AppendU64(&out, fs.emitted);
-  AppendU64(&out, fs.routed);
-  AppendU64(&out, fs.refused);
-  AppendU64(&out, fs.dropped_closed);
-  AppendU64(&out, fs.exchanges);
-  AppendU64(&out, fs.max_window_backlog);
-  AppendU64(&out, fs.dropped_loss);
-  AppendU64(&out, fs.dropped_partition);
-  AppendU64(&out, fs.dropped_crashed);
-  AppendU64(&out, fs.dropped_lane_overflow);
-  AppendU64(&out, fs.duplicated);
-  AppendU64(&out, ck.fabric.next_seq.size());
-  for (uint64_t seq : ck.fabric.next_seq) {
-    AppendU64(&out, seq);
-  }
-  out += '\n';
-
   for (const CkptNode& n : ck.nodes) {
     out += "node ";
-    AppendI64(&out, n.index);
-    AppendI64(&out, n.state);
-    AppendI64(&out, n.incarnation);
-    AppendU64(&out, n.clock_offset);
-    AppendU64(&out, n.crashes);
-    AppendU64(&out, n.restart_window);
-    AppendU64(&out, n.chat_done ? 1 : 0);
-    AppendU64(&out, n.banked_sent);
-    AppendU64(&out, n.banked_delivered);
-    AppendU64(&out, n.chat_messages_lost);
-    AppendU64(&out, n.crash_inflight_dropped);
-    AppendU64(&out, n.beacons_sent);
-    AppendU64(&out, n.beacons_received);
-    AppendU64(&out, n.inbox_overflows);
-    AppendU64(&out, n.late_writes);
-    AppendU64(&out, n.last_remote_progress);
-    AppendU64(&out, n.retransmits);
-    AppendU64(&out, n.retx_abandoned);
-    AppendU64(&out, n.dup_discards);
-    AppendU64(&out, n.acks_sent);
-    AppendU64(&out, n.acks_received);
-    AppendU64(&out, n.room_ids.size());
-    for (int room : n.room_ids) {
-      AppendI64(&out, room);
-    }
+    NodeFields(w, n);
     out += '\n';
     if (!n.carried_stats.empty()) {
       out += StrFormat("carried %d ", n.index) + JournalEscape(n.carried_stats) +
@@ -319,23 +334,15 @@ std::string EncodeScaleCheckpoint(const ScaleCheckpoint& ck) {
     }
     for (const CkptArrival& a : n.arrivals) {
       out += "arr ";
-      AppendI64(&out, n.index);
-      AppendU64(&out, a.window);
-      AppendU64(&out, a.arrival);
-      AppendU64(&out, a.payload.id);
-      AppendI64(&out, a.payload.sender);
-      AppendI64(&out, a.payload.room);
-      AppendU64(&out, a.payload.sent_at);
-      AppendU64(&out, a.payload.payload);
+      ArrivalFields(w, n.index, a);
       out += '\n';
     }
     if (!n.verify.empty()) {
       out += StrFormat("verify %d ", n.index) + JournalEscape(n.verify) + "\n";
     }
   }
-
   out += StrFormat("end %016llx\n",
-                   static_cast<unsigned long long>(Fnv64(out.data(), out.size())));
+                   static_cast<unsigned long long>(Fnv1a64(out)));
   return out;
 }
 
@@ -368,6 +375,9 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
     if (saw_end) {
       return fail("trailing data after the end record");
     }
+    const auto bad = [&](const char* record) {
+      return fail(StrFormat("bad %s record at line %zu", record, line_no));
+    };
 
     if (!saw_header) {
       unsigned long long fp = 0;
@@ -385,7 +395,7 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
       }
       ck->config_fp = fp;
       ck->seed = seed;
-      ck->window_index = window;
+      ck->loop.window_index = window;
       ck->num_nodes = nodes;
       saw_header = true;
       continue;
@@ -396,23 +406,8 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
         return fail("duplicate run record");
       }
       TokenReader tr(line.substr(4));
-      bool ok = tr.Hex64(&ck->digest) && tr.U64(&ck->messages_sent) &&
-                tr.U64(&ck->messages_delivered) && tr.U64(&ck->beacons_sent) &&
-                tr.U64(&ck->beacons_received) && tr.U64(&ck->inbox_overflows) &&
-                tr.U64(&ck->late_writes) && tr.U64(&ck->node_crashes) &&
-                tr.U64(&ck->node_restarts) && tr.U64(&ck->windows_degraded) &&
-                tr.U64(&ck->retransmits) && tr.U64(&ck->retx_abandoned) &&
-                tr.U64(&ck->dup_discards) && tr.U64(&ck->acks_sent) &&
-                tr.U64(&ck->acks_received) && tr.U64(&ck->chat_messages_lost) &&
-                tr.U64(&ck->crash_inflight_dropped) &&
-                tr.U64(&ck->peak_live_tasks) && tr.U64(&ck->peak_live_nodes) &&
-                tr.U64(&ck->peak_task_arena_bytes) &&
-                tr.U64(&ck->peak_live_sockets) && tr.Int(&ck->chats_done) &&
-                tr.Bool(&ck->all_completed) && tr.Bool(&ck->inboxes_closed) &&
-                tr.U64(&ck->inbox_close_at) && tr.U64(&ck->router_close_window) &&
-                tr.U64(&ck->inbox_close_window) && tr.Done();
-      if (!ok) {
-        return fail(StrFormat("bad run record at line %zu", line_no));
+      if (!RunFields(tr, *ck) || !tr.Done()) {
+        return bad("run");
       }
       saw_run = true;
       continue;
@@ -420,7 +415,7 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
 
     if (StartsWith(line, "stats ")) {
       if (saw_stats || !JournalUnescape(line.substr(6), &ck->agg_stats)) {
-        return fail(StrFormat("bad stats record at line %zu", line_no));
+        return bad("stats");
       }
       saw_stats = true;
       continue;
@@ -431,26 +426,9 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
         return fail("duplicate fabric record");
       }
       TokenReader tr(line.substr(7));
-      FabricStats& fs = ck->fabric.stats;
-      uint64_t lanes = 0;
-      bool ok = tr.Bool(&ck->fabric.closed) && tr.U64(&fs.emitted) &&
-                tr.U64(&fs.routed) && tr.U64(&fs.refused) &&
-                tr.U64(&fs.dropped_closed) && tr.U64(&fs.exchanges) &&
-                tr.U64(&fs.max_window_backlog) && tr.U64(&fs.dropped_loss) &&
-                tr.U64(&fs.dropped_partition) && tr.U64(&fs.dropped_crashed) &&
-                tr.U64(&fs.dropped_lane_overflow) && tr.U64(&fs.duplicated) &&
-                tr.U64(&lanes);
-      if (!ok || lanes != static_cast<uint64_t>(ck->num_nodes)) {
-        return fail(StrFormat("bad fabric record at line %zu", line_no));
-      }
-      ck->fabric.next_seq.resize(lanes);
-      for (uint64_t l = 0; l < lanes; ++l) {
-        if (!tr.U64(&ck->fabric.next_seq[l])) {
-          return fail(StrFormat("bad fabric record at line %zu", line_no));
-        }
-      }
-      if (!tr.Done()) {
-        return fail(StrFormat("bad fabric record at line %zu", line_no));
+      if (!FabricFields(tr, ck->fabric) || !tr.Done() ||
+          ck->fabric.next_seq.size() != static_cast<size_t>(ck->num_nodes)) {
+        return bad("fabric");
       }
       saw_fabric = true;
       continue;
@@ -459,94 +437,63 @@ bool DecodeScaleCheckpoint(const std::string& contents, ScaleCheckpoint* ck,
     if (StartsWith(line, "node ")) {
       TokenReader tr(line.substr(5));
       CkptNode n;
-      uint64_t rooms = 0;
-      bool ok = tr.Int(&n.index) && tr.Int(&n.state) &&
-                tr.Int(&n.incarnation) && tr.U64(&n.clock_offset) &&
-                tr.U64(&n.crashes) && tr.U64(&n.restart_window) &&
-                tr.Bool(&n.chat_done) && tr.U64(&n.banked_sent) &&
-                tr.U64(&n.banked_delivered) && tr.U64(&n.chat_messages_lost) &&
-                tr.U64(&n.crash_inflight_dropped) && tr.U64(&n.beacons_sent) &&
-                tr.U64(&n.beacons_received) && tr.U64(&n.inbox_overflows) &&
-                tr.U64(&n.late_writes) && tr.U64(&n.last_remote_progress) &&
-                tr.U64(&n.retransmits) && tr.U64(&n.retx_abandoned) &&
-                tr.U64(&n.dup_discards) && tr.U64(&n.acks_sent) &&
-                tr.U64(&n.acks_received) && tr.U64(&rooms);
-      if (!ok || n.index < 0 || n.index >= ck->num_nodes ||
-          (n.state != 1 && n.state != 2) || n.incarnation < 0 ||
-          rooms > static_cast<uint64_t>(INT32_MAX)) {
-        return fail(StrFormat("bad node record at line %zu", line_no));
+      if (!NodeFields(tr, n) || !tr.Done() || n.index < 0 ||
+          n.index >= ck->num_nodes || (n.state != 1 && n.state != 2) ||
+          n.life.incarnation < 0) {
+        return bad("node");
       }
       if (!ck->nodes.empty() && ck->nodes.back().index >= n.index) {
         return fail(StrFormat("node records out of order at line %zu", line_no));
-      }
-      n.room_ids.resize(rooms);
-      for (uint64_t r = 0; r < rooms; ++r) {
-        if (!tr.Int(&n.room_ids[r])) {
-          return fail(StrFormat("bad node record at line %zu", line_no));
-        }
-      }
-      if (!tr.Done()) {
-        return fail(StrFormat("bad node record at line %zu", line_no));
       }
       ck->nodes.push_back(std::move(n));
       continue;
     }
 
-    if (StartsWith(line, "carried ") || StartsWith(line, "arr ") ||
-        StartsWith(line, "verify ")) {
+    if (StartsWith(line, "carried ") || StartsWith(line, "verify ")) {
+      // Escaped payloads attached to the most recent node line.
       const bool carried = StartsWith(line, "carried ");
-      const bool arr = StartsWith(line, "arr ");
-      const size_t skip = carried ? 8 : (arr ? 4 : 7);
-      // These records attach to the most recent node line.
-      int owner = -1;
-      if (carried || StartsWith(line, "verify ")) {
-        char* end = nullptr;
-        owner = static_cast<int>(std::strtol(line.c_str() + skip, &end, 10));
-        const size_t payload_at = static_cast<size_t>(end - line.c_str()) + 1;
-        if (end == line.c_str() + skip || *end != ' ' ||
-            ck->nodes.empty() || ck->nodes.back().index != owner) {
-          return fail(StrFormat("orphaned %s record at line %zu",
-                                carried ? "carried" : "verify", line_no));
-        }
-        std::string* dst =
-            carried ? &ck->nodes.back().carried_stats : &ck->nodes.back().verify;
-        if (!dst->empty() ||
-            !JournalUnescape(line.substr(payload_at), dst)) {
-          return fail(StrFormat("bad %s record at line %zu",
-                                carried ? "carried" : "verify", line_no));
-        }
-        continue;
+      const char* record = carried ? "carried" : "verify";
+      const size_t skip = carried ? 8 : 7;
+      char* end = nullptr;
+      const long owner = std::strtol(line.c_str() + skip, &end, 10);
+      if (end == line.c_str() + skip || *end != ' ' || ck->nodes.empty() ||
+          ck->nodes.back().index != owner) {
+        return fail(StrFormat("orphaned %s record at line %zu", record, line_no));
       }
-      TokenReader tr(line.substr(skip));
+      std::string* dst =
+          carried ? &ck->nodes.back().carried_stats : &ck->nodes.back().verify;
+      const size_t payload_at = static_cast<size_t>(end - line.c_str()) + 1;
+      if (!dst->empty() || !JournalUnescape(line.substr(payload_at), dst)) {
+        return bad(record);
+      }
+      continue;
+    }
+
+    if (StartsWith(line, "arr ")) {
+      TokenReader tr(line.substr(4));
       CkptArrival a;
-      int64_t sender = 0;
-      int64_t room = 0;
-      bool ok = tr.Int(&owner) && tr.U64(&a.window) && tr.U64(&a.arrival) &&
-                tr.U64(&a.payload.id) && tr.I64(&sender) && tr.I64(&room) &&
-                tr.U64(&a.payload.sent_at) && tr.U64(&a.payload.payload) &&
-                tr.Done();
-      if (!ok || ck->nodes.empty() || ck->nodes.back().index != owner) {
-        return fail(StrFormat("bad arr record at line %zu", line_no));
+      int owner = -1;
+      if (!ArrivalFields(tr, owner, a) || !tr.Done() || ck->nodes.empty() ||
+          ck->nodes.back().index != owner) {
+        return bad("arr");
       }
-      a.payload.sender = static_cast<int>(sender);
-      a.payload.room = static_cast<int>(room);
       // Arrival logs are appended in barrier order; enforce it so a replay
       // cursor can trust the ordering.
-      if (!ck->nodes.back().arrivals.empty() &&
-          ck->nodes.back().arrivals.back().window > a.window) {
+      std::vector<CkptArrival>& log = ck->nodes.back().arrivals;
+      if (!log.empty() && log.back().window > a.window) {
         return fail(StrFormat("arr records out of order at line %zu", line_no));
       }
-      ck->nodes.back().arrivals.push_back(a);
+      log.push_back(a);
       continue;
     }
 
     if (StartsWith(line, "end ")) {
       TokenReader tr(line.substr(4));
       uint64_t sum = 0;
-      if (!tr.Hex64(&sum) || !tr.Done()) {
+      if (!tr.Hex64(sum) || !tr.Done()) {
         return fail("bad end record");
       }
-      if (Fnv64(contents.data(), line_start) != sum) {
+      if (Fnv1a64(std::string_view(contents).substr(0, line_start)) != sum) {
         return fail("checksum mismatch (torn or bit-flipped segment)");
       }
       saw_end = true;
@@ -612,7 +559,7 @@ std::vector<CheckpointSegmentInfo> ListCheckpointSegments(
 bool WriteCheckpointSegment(const ScaleCheckpointOptions& options,
                             const ScaleCheckpoint& ckpt, std::string* error) {
   const std::string path =
-      CheckpointSegmentPath(options.path, ckpt.config_fp, ckpt.window_index);
+      CheckpointSegmentPath(options.path, ckpt.config_fp, ckpt.loop.window_index);
   if (!AtomicWriteFile(path, EncodeScaleCheckpoint(ckpt), error)) {
     return false;
   }

@@ -13,8 +13,9 @@
 //
 // What a segment holds (see docs/SCALE.md "Checkpoint & recovery"):
 //
-//   * the aggregate ScaleRun-so-far: every folded-node counter, the merged
-//     RunStats, the concurrent peaks, and the streaming FNV digest chain;
+//   * the aggregate run-so-far (ScaleTotals): every folded-node counter, the
+//     concurrent peaks, and the streaming FNV digest chain; the merged
+//     RunStats; and the coordinator loop state (FedLoopState);
 //   * the fabric cursor: per-source emission counters (loss/dup fault coins
 //     are keyed by (src, dst, seq)), cumulative FabricStats, closed flag —
 //     lanes are always empty at a post-Exchange barrier, so in-flight
@@ -36,13 +37,15 @@
 // next-older segment, then to a cold start — never UB, never a crash.
 //
 // File format (text, one record per line, journal-style escaping for
-// embedded payloads, FNV-1a-64 trailer over all preceding bytes):
+// embedded payloads, FNV-1a-64 trailer over all preceding bytes). Struct
+// fields appear in declaration order; one field list per record in
+// scale_ckpt.cc drives both the encoder and the decoder.
 //
 //   elscscale v1 fp=<hex16> seed=<u64> window=<u64> nodes=<n>
-//   run <digest hex16> <aggregate counters...>
+//   run <ScaleTotals: digest hex16, then counters> <FedLoopState after window>
 //   stats <escaped EncodeRunStats>
-//   fabric <closed> <stats...> <n> <next_seq...>
-//   node <index> <state> <lifecycle + counters + rooms...>
+//   fabric <closed> <FabricStats...> <n> <next_seq...>
+//   node <index> <state> <NodeLifecycle...> <FedCounters...> <n> <rooms...>
 //   carried <index> <escaped EncodeRunStats>        (optional per node)
 //   arr <index> <window> <arrival> <id> <sender> <room> <sent_at> <payload>
 //   verify <index> <escaped verification line>
@@ -84,75 +87,118 @@ struct CkptArrival {
   Message payload;
 };
 
+// The ten per-node federation counters. A node holds them live and as the
+// snapshot taken at its incarnation's boot; a checkpoint holds one copy.
+// Single-writer: only the node's own tasks and delivery events touch them.
+struct FedCounters {
+  uint64_t beacons_sent = 0;
+  uint64_t beacons_received = 0;
+  uint64_t inbox_overflows = 0;
+  uint64_t late_writes = 0;
+  uint64_t last_remote_progress = 0;  // Payload of the newest beacon seen.
+  uint64_t retransmits = 0;
+  uint64_t retx_abandoned = 0;
+  uint64_t dup_discards = 0;
+  uint64_t acks_sent = 0;
+  uint64_t acks_received = 0;
+};
+
+// Coordinator-side node state that survives incarnations. A checkpoint
+// copies it verbatim: nothing here is mutated by the node's tasks.
+struct NodeLifecycle {
+  int incarnation = 0;
+  Cycles clock_offset = 0;  // Global time = clock_offset + local machine time.
+  uint64_t crashes = 0;
+  uint64_t restart_window = 0;
+  bool chat_done = false;
+  // Finished-room quotas banked from dead incarnations: their deliveries
+  // happened and stay counted; only unfinished rooms re-run.
+  uint64_t banked_sent = 0;
+  uint64_t banked_delivered = 0;
+  uint64_t chat_messages_lost = 0;      // Partial-room work a crash threw away.
+  uint64_t crash_inflight_dropped = 0;  // Fabric deliveries killed mid-air.
+};
+
 // Per-node checkpoint record. Only live (state 1) and down (state 2) nodes
 // are recorded — a folded node's contribution already lives in the
 // aggregate digest/stats.
 struct CkptNode {
   int index = 0;
   int state = 1;  // 1 = live (machine running), 2 = down (awaiting restart).
-  int incarnation = 0;
-  Cycles clock_offset = 0;
-  uint64_t crashes = 0;
-  uint64_t restart_window = 0;
-  bool chat_done = false;
-  uint64_t banked_sent = 0;
-  uint64_t banked_delivered = 0;
-  uint64_t chat_messages_lost = 0;
-  uint64_t crash_inflight_dropped = 0;
-  // Federation counters. Live nodes: the boot-time snapshot of the current
-  // incarnation (replay re-adds this incarnation's deltas). Down nodes: the
-  // current values (nothing to replay).
-  uint64_t beacons_sent = 0;
-  uint64_t beacons_received = 0;
-  uint64_t inbox_overflows = 0;
-  uint64_t late_writes = 0;
-  uint64_t last_remote_progress = 0;
-  uint64_t retransmits = 0;
-  uint64_t retx_abandoned = 0;
-  uint64_t dup_discards = 0;
-  uint64_t acks_sent = 0;
-  uint64_t acks_received = 0;
+  NodeLifecycle life;
+  // Live nodes: the boot-time snapshot of the current incarnation (replay
+  // re-adds this incarnation's deltas). Down nodes: the current values
+  // (nothing to replay).
+  FedCounters fed;
   std::vector<int> room_ids;      // This incarnation's (unfinished) rooms.
   std::string carried_stats;      // EncodeRunStats of dead incarnations; "" = none.
   std::vector<CkptArrival> arrivals;  // Live nodes: this incarnation's log.
   std::string verify;             // Live nodes: post-replay cross-check line.
 };
 
-// Full federation checkpoint at the end of one window barrier.
-struct ScaleCheckpoint {
-  uint64_t config_fp = 0;  // ScaleConfigFingerprint binding.
-  uint64_t seed = 0;
-  uint64_t window_index = 0;
-  int num_nodes = 0;
-  // Coordinator loop state.
-  int chats_done = 0;
-  bool all_completed = true;
-  bool inboxes_closed = false;
-  Cycles inbox_close_at = 0;
-  uint64_t router_close_window = 0;  // Window Close() ran at; 0 = still open.
-  uint64_t inbox_close_window = 0;   // Window inboxes EOF'd at; 0 = open.
-  // Aggregate run-so-far (folded nodes + coordinator accounting).
-  uint64_t digest = 0;  // The streaming FNV accumulator.
+// The aggregate run-so-far: every folded node's counters, the coordinator's
+// crash accounting, the concurrent peaks and the digest chain. ScaleRun
+// (scale.h) derives from it and ScaleCheckpoint holds one, so each counter
+// is declared once. Declared in "run" record order.
+struct ScaleTotals {
+  // Streaming FNV-1a fold over every node's completion record (node index,
+  // completion window, RunStatsDigest, chat + federation counters) plus the
+  // scenario trailer. Two runs are bit-identical iff digests match.
+  uint64_t digest = 0;
+
+  // Chat totals across nodes.
   uint64_t messages_sent = 0;
   uint64_t messages_delivered = 0;
-  uint64_t beacons_sent = 0;
-  uint64_t beacons_received = 0;
-  uint64_t inbox_overflows = 0;
-  uint64_t late_writes = 0;
+
+  // Federation traffic.
+  uint64_t beacons_sent = 0;      // Unique beacons (retransmits not counted).
+  uint64_t beacons_received = 0;  // Unique beacons processed by receivers.
+  uint64_t inbox_overflows = 0;   // Deliveries refused by a full inbox.
+  uint64_t late_writes = 0;       // Deliveries landing on a closed inbox.
+
+  // -- Availability accounting (failure model; all zero fault-free).
   uint64_t node_crashes = 0;
   uint64_t node_restarts = 0;
-  uint64_t windows_degraded = 0;
-  uint64_t retransmits = 0;
-  uint64_t retx_abandoned = 0;
-  uint64_t dup_discards = 0;
+  uint64_t windows_degraded = 0;  // Barriers with >= 1 node down.
+  uint64_t retransmits = 0;       // Beacon re-emissions by the protocol.
+  uint64_t retx_abandoned = 0;    // Unacked beacons given up on (retries
+                                  // exhausted or buffer overflow).
+  uint64_t dup_discards = 0;      // Received beacons discarded as duplicates.
   uint64_t acks_sent = 0;
   uint64_t acks_received = 0;
-  uint64_t chat_messages_lost = 0;
-  uint64_t crash_inflight_dropped = 0;
+  uint64_t chat_messages_lost = 0;  // Partial-room chat work a crash threw
+                                    // away (re-run after restart).
+  uint64_t crash_inflight_dropped = 0;  // Fabric deliveries destroyed with a
+                                        // crashing node (inbox + scheduled).
+
+  // Concurrent peaks sampled at every window barrier across live nodes.
   uint64_t peak_live_tasks = 0;
   uint64_t peak_live_nodes = 0;
   uint64_t peak_task_arena_bytes = 0;
   uint64_t peak_live_sockets = 0;
+};
+
+// The coordinator's lock-step loop state, copied whole into and out of a
+// checkpoint.
+struct FedLoopState {
+  uint64_t window_index = 0;  // The last barrier reached.
+  int chats_done = 0;         // Nodes whose chat has completed.
+  bool all_completed = true;
+  bool inboxes_closed = false;
+  Cycles inbox_close_at = 0;         // 0 = fabric still open.
+  // Window indices the fabric closed / the inboxes EOF'd at (0 = not yet):
+  // checkpoint replay re-applies both at exactly the original barriers.
+  uint64_t router_close_window = 0;
+  uint64_t inbox_close_window = 0;
+};
+
+// Full federation checkpoint at the end of one window barrier.
+struct ScaleCheckpoint {
+  uint64_t config_fp = 0;  // ScaleConfigFingerprint binding.
+  uint64_t seed = 0;
+  int num_nodes = 0;
+  FedLoopState loop;
+  ScaleTotals totals;
   std::string agg_stats;  // EncodeRunStats of the folded RunStats.
   FabricRouterState fabric;
   std::vector<CkptNode> nodes;  // Ascending index; missing = folded.

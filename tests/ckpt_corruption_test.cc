@@ -27,12 +27,12 @@ ScaleCheckpoint SampleCheckpoint() {
   ScaleCheckpoint ck;
   ck.config_fp = 0x1122334455667788ULL;
   ck.seed = 7;
-  ck.window_index = 9;
+  ck.loop.window_index = 9;
   ck.num_nodes = 3;
-  ck.chats_done = 1;
-  ck.digest = 0xfeedfacecafebeefULL;
-  ck.messages_sent = 100;
-  ck.messages_delivered = 90;
+  ck.loop.chats_done = 1;
+  ck.totals.digest = 0xfeedfacecafebeefULL;
+  ck.totals.messages_sent = 100;
+  ck.totals.messages_delivered = 90;
   ck.agg_stats = "stats with spaces\nand newline";
   ck.fabric.stats.emitted = 12;
   ck.fabric.next_seq = {1, 2, 3};
@@ -54,7 +54,7 @@ ScaleCheckpoint SampleCheckpoint() {
   CkptNode down;
   down.index = 2;
   down.state = 2;
-  down.restart_window = 11;
+  down.life.restart_window = 11;
   down.room_ids = {2};
   ck.nodes = {live, down};
   return ck;

@@ -18,7 +18,7 @@
 #include "gtest/gtest.h"
 #include "src/api/scale.h"
 #include "src/base/atomic_file.h"
-#include "src/harness/journal.h"
+#include "src/base/fnv.h"
 #include "src/harness/shutdown.h"
 
 namespace elsc {
@@ -90,7 +90,7 @@ uint64_t SegmentFnvAtWindow3(ScaleConfig config, const std::string& name,
     EXPECT_TRUE(ReadFileToString(segments[0].path, &contents));
   }
   RemoveCheckpointSegments(config.ckpt.path, fp);
-  return RunJournal::Fingerprint(contents);
+  return Fnv1a64(contents);
 }
 
 TEST(ScaleCkptTest, GoldenSignaturesArePinned) {
@@ -365,12 +365,12 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   ScaleCheckpoint ck;
   ck.config_fp = 0xabcdef0123456789ULL;
   ck.seed = 7;
-  ck.window_index = 42;
+  ck.loop.window_index = 42;
   ck.num_nodes = 3;
-  ck.chats_done = 1;
-  ck.all_completed = false;
-  ck.digest = 0xfeedfacecafebeefULL;
-  ck.messages_delivered = 123456789;
+  ck.loop.chats_done = 1;
+  ck.loop.all_completed = false;
+  ck.totals.digest = 0xfeedfacecafebeefULL;
+  ck.totals.messages_delivered = 123456789;
   ck.agg_stats = "line with spaces\nand a newline";
   ck.fabric.closed = false;
   ck.fabric.stats.emitted = 17;
@@ -378,8 +378,8 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   CkptNode live;
   live.index = 0;
   live.state = 1;
-  live.incarnation = 2;
-  live.clock_offset = 1000;
+  live.life.incarnation = 2;
+  live.life.clock_offset = 1000;
   live.room_ids = {0};
   live.carried_stats = "carried\\payload";
   CkptArrival arrival;
@@ -395,7 +395,7 @@ TEST(ScaleCkptTest, EncodeDecodeRoundTripsExactly) {
   CkptNode down;
   down.index = 2;
   down.state = 2;
-  down.restart_window = 44;
+  down.life.restart_window = 44;
   down.room_ids = {2};
   ck.nodes = {live, down};
 
