@@ -28,9 +28,12 @@ namespace elsc {
 namespace {
 
 // Builds a scheduler with `depth` runnable SCHED_OTHER tasks of varied
-// static goodness.
+// static goodness. After each queued task, `spread` unrelated blocked tasks
+// are allocated, so queued tasks sit apart in memory as they do in a
+// Machine's arena; with no spread TaskFactory hands out back-to-back
+// allocations that the hardware prefetcher streams through.
 struct Population {
-  Population(SchedulerKind kind, int depth) {
+  Population(SchedulerKind kind, int depth, int spread = 0) {
     SchedulerConfig config{2, true};
     scheduler = MakeScheduler(kind, CostModel::PentiumII(), factory.task_list(), config);
     Rng rng(42);
@@ -42,6 +45,9 @@ struct Population {
       t->processor = static_cast<int>(rng.NextBelow(2));
       scheduler->AddToRunQueue(t);
       tasks.push_back(t);
+      for (int k = 0; k < spread; ++k) {
+        factory.NewTask()->state = TaskState::kInterruptible;
+      }
     }
   }
 
@@ -50,9 +56,9 @@ struct Population {
   std::vector<Task*> tasks;
 };
 
-void BM_Schedule(benchmark::State& state, SchedulerKind kind) {
+void RunSchedule(benchmark::State& state, SchedulerKind kind, int spread) {
   const int depth = static_cast<int>(state.range(0));
-  Population pop(kind, depth);
+  Population pop(kind, depth, spread);
   uint64_t sim_cycles = 0;
   uint64_t calls = 0;
   for (auto _ : state) {
@@ -73,6 +79,14 @@ void BM_Schedule(benchmark::State& state, SchedulerKind kind) {
   }
   state.counters["sim_cycles/op"] =
       benchmark::Counter(static_cast<double>(sim_cycles) / static_cast<double>(calls));
+}
+
+void BM_Schedule(benchmark::State& state, SchedulerKind kind) { RunSchedule(state, kind, 0); }
+
+// Seven unrelated tasks per queued one: at depth 2048 the queued tasks span
+// ~6 MB, so a scan that loads every task_struct pays its cache misses.
+void BM_ScheduleSpread(benchmark::State& state, SchedulerKind kind) {
+  RunSchedule(state, kind, 7);
 }
 
 void BM_AddDel(benchmark::State& state, SchedulerKind kind) {
@@ -253,6 +267,7 @@ BENCHMARK_CAPTURE(BM_Schedule, linux, SchedulerKind::kLinux)->RangeMultiplier(4)
 BENCHMARK_CAPTURE(BM_Schedule, elsc, SchedulerKind::kElsc)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_Schedule, heap, SchedulerKind::kHeap)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_Schedule, o1, SchedulerKind::kO1)->RangeMultiplier(4)->Range(8, 2048);
+BENCHMARK_CAPTURE(BM_ScheduleSpread, linux, SchedulerKind::kLinux)->Arg(8)->Arg(128)->Arg(2048);
 BENCHMARK_CAPTURE(BM_AddDel, linux, SchedulerKind::kLinux)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_AddDel, elsc, SchedulerKind::kElsc)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_AddDel, heap, SchedulerKind::kHeap)->RangeMultiplier(4)->Range(8, 2048);

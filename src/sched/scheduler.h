@@ -10,6 +10,14 @@
 //  * The previous task still has has_cpu == 1 while Schedule() runs (it is
 //    cleared by the Machine during the context switch), so SMP search loops
 //    naturally skip tasks executing elsewhere — including prev itself.
+//  * A queued task that is not on a CPU (has_cpu == 0) changes counter,
+//    priority, policy or mm only through a DelFromRunQueue + AddToRunQueue
+//    re-file or the scheduler's own counter recalculation; all other writes
+//    land while the task holds a CPU. Sorted or cached run-queue structures
+//    rely on this (the ELSC table's sort, the stock scheduler's goodness
+//    keys). The Machine upholds it: SetTaskPriority and SetTaskPolicy
+//    re-file a waiting task, timer ticks skip CPUs whose schedule() is in
+//    flight (schedule_pending), and fork runs only from the running parent.
 //  * Schedule() must return the next task to run, or nullptr to schedule the
 //    CPU's idle task. It may return prev.
 //  * Schedule() charges its simulated cost to the CostMeter; the Machine

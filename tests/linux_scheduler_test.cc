@@ -1,11 +1,18 @@
 // Tests for the stock Linux 2.3.99-pre4 scheduler port: run-queue
 // manipulation semantics, the goodness search, tie-breaking, yield handling,
-// the recalculation loop, and SMP has_cpu filtering (paper §3).
+// the recalculation loop, SMP has_cpu filtering (paper §3), and a
+// differential test of the scan mirror against the kernel's list walk.
 
 #include "src/sched/linux_scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/base/assert.h"
+#include "src/base/rng.h"
+#include "src/base/string_util.h"
 #include "src/kernel/policy.h"
 #include "src/sched/goodness.h"
 #include "tests/sched_test_util.h"
@@ -266,6 +273,456 @@ TEST_F(LinuxSchedulerTest, PickOnNewProcessorCounted) {
   sched_->AddToRunQueue(t);
   EXPECT_EQ(Schedule(0, nullptr), t);
   EXPECT_EQ(sched_->stats().picks_new_processor, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The scan mirror's cached keys and their invariant.
+// ---------------------------------------------------------------------------
+
+constexpr char kStaleKeyMsg[] =
+    "scan mirror key stale: queued off-CPU task changed without a re-file";
+
+TEST_F(LinuxSchedulerTest, InvariantsCatchAQueuedTaskChangedBehindTheSchedulersBack) {
+  factory_.DefaultMm();
+  MmStruct* other_mm = factory_.NewMm();
+  const auto mutations = {
+      +[](Task* t, MmStruct*) { t->counter = 3; },
+      +[](Task* t, MmStruct*) { t->priority = 7; },
+      +[](Task* t, MmStruct* mm) { t->mm = mm; },
+  };
+  for (auto mutate : mutations) {
+    Rebuild(2, true);
+    Task* victim = factory_.NewTask(10, 20);
+    sched_->AddToRunQueue(victim);
+    sched_->AddToRunQueue(factory_.NewTask(5, 20));
+    sched_->CheckInvariants();
+    mutate(victim, other_mm);  // has_cpu == 0, no Del+Add re-file.
+    ViolationTrap trap;
+    EXPECT_THROW(sched_->CheckInvariants(), InvariantViolation);
+    ASSERT_TRUE(trap.triggered());
+    EXPECT_STREQ(trap.info().msg, kStaleKeyMsg);
+  }
+}
+
+TEST_F(LinuxSchedulerTest, InvariantsCatchAnUnflaggedTaskOnACpu) {
+  Task* t = factory_.NewTask();
+  sched_->AddToRunQueue(t);
+  t->has_cpu = 1;  // Claimed without going through Schedule().
+  ViolationTrap trap;
+  EXPECT_THROW(sched_->CheckInvariants(), InvariantViolation);
+  EXPECT_STREQ(trap.info().msg, "scan mirror: unflagged task is on a CPU");
+}
+
+TEST_F(LinuxSchedulerTest, JustPickedTaskMayChangeAndIsReKeyedOffCpu) {
+  Rebuild(2, true);
+  factory_.DefaultMm();
+  MmStruct* other_mm = factory_.NewMm();
+  Task* a = factory_.NewTask(30, 20);
+  Task* b = factory_.NewTask(20, 20);
+  sched_->AddToRunQueue(a);
+  sched_->AddToRunQueue(b);
+  Task* picked = Schedule(0, nullptr);
+  ASSERT_EQ(picked, a);
+  // The Machine claims the pick, then it runs: ticks, priority and mm
+  // changes all land while it holds the CPU.
+  a->has_cpu = 1;
+  a->counter = 1;
+  a->priority = 2;
+  a->mm = other_mm;
+  {
+    ViolationTrap trap;
+    EXPECT_NO_THROW(sched_->CheckInvariants());
+    EXPECT_FALSE(trap.triggered());
+  }
+  // Off the CPU again, the next scan re-keys it from the task: 1 + 2 now
+  // loses to b's 20 + 20.
+  a->has_cpu = 0;
+  EXPECT_EQ(Schedule(1, nullptr), b);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: Schedule() against the kernel's list walk.
+//
+// Two identical worlds receive the same random operation sequence. In one,
+// LinuxScheduler::Schedule() picks; in the other, a reference written here
+// walks the run-queue list (QueueSnapshot()) with can_schedule() and
+// goodness(), strict >, prev seeded first — kernel/sched.c's loop. The
+// worlds must agree on every pick, examine count and recalculation. The
+// operations follow the Machine's calling conventions: run-queue edits,
+// has_cpu claim at pick time and release at the context switch, ticks on
+// running tasks (draining counters, so recalculations happen, and expiring
+// RR quanta), yield, block, wake — including a wake while the blocked
+// task's schedule() is still in flight — fork, and priority/policy changes
+// that re-file a waiting task.
+// ---------------------------------------------------------------------------
+
+struct DiffConfig {
+  uint64_t seed;
+  int cpus;
+  bool smp;
+  int steps;
+};
+
+std::string Repro(const DiffConfig& cfg, int step, const char* op) {
+  return StrFormat("repro: RunDifferential(DiffConfig{%llu, %d, %s, %d}) fails at step %d (%s)",
+                   static_cast<unsigned long long>(cfg.seed), cfg.cpus,
+                   cfg.smp ? "true" : "false", step + 1, step, op);
+}
+
+// One side: a scheduler, its tasks and the per-CPU state a Machine keeps.
+struct DiffWorld {
+  DiffWorld(int cpus, bool smp)
+      : sched(CostModel::PentiumII(), factory.task_list(), SchedulerConfig{cpus, smp}),
+        current(static_cast<size_t>(cpus), nullptr),
+        claimed(static_cast<size_t>(cpus), nullptr),
+        in_schedule(static_cast<size_t>(cpus), false) {}
+
+  TaskFactory factory;
+  LinuxScheduler sched;
+  std::vector<Task*> tasks;
+  std::vector<MmStruct*> mms;
+  std::vector<Task*> current;      // Task executing on each CPU (nullptr: idle).
+  std::vector<Task*> claimed;      // Pick awaiting its context switch.
+  std::vector<bool> in_schedule;   // Picked; context switch still pending.
+};
+
+struct Pick {
+  Task* next = nullptr;
+  uint64_t examined = 0;
+  uint64_t recalcs = 0;
+};
+
+// The kernel's schedule() search, walking the list itself.
+Pick ReferenceSchedule(LinuxScheduler& s, TaskList* all_tasks, int this_cpu, Task* prev,
+                       bool smp) {
+  Pick pick;
+  const MmStruct* this_mm = prev != nullptr ? prev->mm : nullptr;
+  bool rr_expired = false;
+  if (prev != nullptr) {
+    if (PolicyBase(prev->policy) == kSchedRr && prev->counter == 0) {
+      prev->counter = prev->priority;
+      s.MoveLastRunQueue(prev);
+      rr_expired = true;
+    }
+    if (prev->state != TaskState::kRunning && prev->OnRunQueue()) {
+      s.DelFromRunQueue(prev);
+    }
+  }
+  while (true) {
+    Task* next = nullptr;
+    long c = kUnschedulableWeight;
+    if (prev != nullptr && prev->state == TaskState::kRunning) {
+      c = PrevGoodness(*prev, this_cpu, this_mm, smp) - (rr_expired ? 1 : 0);
+      next = prev;
+    }
+    for (const Task* p : s.QueueSnapshot()) {
+      if (p->has_cpu != 0) {  // can_schedule()
+        continue;
+      }
+      ++pick.examined;
+      const long weight = Goodness(*p, this_cpu, this_mm, smp);
+      if (weight > c) {
+        c = weight;
+        next = const_cast<Task*>(p);
+      }
+    }
+    if (c == 0) {
+      ++pick.recalcs;
+      all_tasks->ForEach([](Task* p) { p->counter = (p->counter >> 1) + p->priority; });
+      continue;
+    }
+    pick.next = next;
+    return pick;
+  }
+}
+
+enum class DiffOp {
+  kSchedule, kSwitch, kTick, kWake, kBlock, kYield, kMoveFirst, kMoveLast, kDel,
+  kSetPriority, kSetPolicy, kFork,
+};
+
+const char* DiffOpName(DiffOp op) {
+  static const char* const kNames[] = {"schedule", "switch", "tick", "wake",
+                                       "block", "yield", "move-first", "move-last",
+                                       "del", "set-priority", "set-policy", "fork"};
+  return kNames[static_cast<int>(op)];
+}
+
+// One operation with every random choice already made, so both worlds
+// apply exactly the same thing. Task and CPU choices are indices.
+struct DiffStep {
+  DiffOp op;
+  int cpu = 0;
+  int task = 0;
+  long value = 0;
+  uint32_t policy = kSchedOther;
+};
+
+int PidOf(const Task* t) { return t != nullptr ? t->pid : 0; }
+
+void AddTask(DiffWorld& w, long counter, long priority, uint32_t policy, long rt_priority,
+             int mm, int processor) {
+  Task* t = w.factory.NewTask(counter, priority);
+  t->policy = policy;
+  t->rt_priority = rt_priority;
+  t->mm = mm < static_cast<int>(w.mms.size()) ? w.mms[static_cast<size_t>(mm)] : nullptr;
+  t->processor = processor;
+  t->state = TaskState::kInterruptible;  // Woken by a later kWake.
+  w.tasks.push_back(t);
+}
+
+// Applies `step` to `w`. Schedule steps go through `pick`, which is either
+// LinuxScheduler::Schedule() or the reference walk.
+template <typename PickFn>
+Pick Apply(DiffWorld& w, const DiffStep& step, PickFn pick) {
+  const auto cpu = static_cast<size_t>(step.cpu);
+  Task* t = w.tasks[static_cast<size_t>(step.task)];
+  Task* cur = w.current[cpu];
+  switch (step.op) {
+    case DiffOp::kSchedule: {
+      const Pick p = pick(step.cpu, cur);
+      if (p.next != nullptr) {
+        p.next->has_cpu = 1;  // Claimed at pick time, as Machine::DoSchedule does.
+      }
+      w.claimed[cpu] = p.next;
+      w.in_schedule[cpu] = true;
+      return p;
+    }
+    case DiffOp::kSwitch: {  // Machine::Dispatch: the context switch.
+      Task* next = w.claimed[cpu];
+      if (cur != next) {
+        if (cur != nullptr) {
+          cur->has_cpu = 0;
+        }
+        if (next != nullptr) {
+          next->has_cpu = 1;
+          next->processor = step.cpu;
+        }
+        w.current[cpu] = next;
+      }
+      w.in_schedule[cpu] = false;
+      break;
+    }
+    case DiffOp::kTick:
+      if (PolicyBase(cur->policy) != kSchedFifo && cur->counter > 0) {
+        --cur->counter;
+      }
+      break;
+    case DiffOp::kWake:  // try_to_wake_up(); the task may still hold a CPU.
+      t->state = TaskState::kRunning;
+      if (!t->OnRunQueue()) {
+        w.sched.AddToRunQueue(t);
+      }
+      break;
+    case DiffOp::kBlock:  // set_current_state(); the next schedule() dequeues.
+      cur->state = TaskState::kInterruptible;
+      break;
+    case DiffOp::kYield:
+      if (PolicyBase(cur->policy) == kSchedOther) {
+        cur->policy |= kSchedYield;
+      }
+      w.sched.MoveLastRunQueue(cur);
+      break;
+    case DiffOp::kMoveFirst:
+      w.sched.MoveFirstRunQueue(t);
+      break;
+    case DiffOp::kMoveLast:
+      w.sched.MoveLastRunQueue(t);
+      break;
+    case DiffOp::kDel:
+      t->state = TaskState::kInterruptible;
+      w.sched.DelFromRunQueue(t);
+      break;
+    case DiffOp::kSetPriority:
+    case DiffOp::kSetPolicy:
+      // Machine::SetTaskPriority / SetTaskPolicy: re-file a waiting task.
+      if (step.op == DiffOp::kSetPriority) {
+        t->priority = step.value;
+      } else {
+        t->policy = (t->policy & kSchedYield) | step.policy;
+        t->rt_priority = PolicyIsRealtime(step.policy) ? step.value : 0;
+      }
+      if (t->OnRunQueue() && t->has_cpu == 0) {
+        w.sched.DelFromRunQueue(t);
+        w.sched.AddToRunQueue(t);
+      }
+      break;
+    case DiffOp::kFork: {  // Machine::ForkTask from the running parent.
+      const long child_counter = (cur->counter + 1) >> 1;
+      cur->counter >>= 1;
+      AddTask(w, child_counter, cur->priority, PolicyBase(cur->policy), cur->rt_priority, 0,
+              cur->processor);
+      w.tasks.back()->mm = cur->mm;
+      w.tasks.back()->state = TaskState::kRunning;
+      w.sched.AddToRunQueue(w.tasks.back());
+      break;
+    }
+  }
+  return Pick{};
+}
+
+// Draws the next operation that is legal in `w` (both worlds are in the
+// same state, so it is legal in both).
+DiffStep NextStep(Rng& rng, const DiffWorld& w) {
+  const int cpus = static_cast<int>(w.current.size());
+  const int ntasks = static_cast<int>(w.tasks.size());
+  while (true) {
+    DiffStep step;
+    step.cpu = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(cpus)));
+    step.task = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(ntasks)));
+    const auto cpu = static_cast<size_t>(step.cpu);
+    const Task* cur = w.current[cpu];
+    const bool busy = w.in_schedule[cpu];
+    const bool running = !busy && cur != nullptr;  // Executing, no pick in flight.
+    const Task* t = w.tasks[static_cast<size_t>(step.task)];
+    const uint64_t roll = rng.NextBelow(100);
+    if (roll < 25) {
+      step.op = DiffOp::kSchedule;
+      if (!busy) return step;
+    } else if (roll < 45) {
+      step.op = DiffOp::kSwitch;
+      if (busy) return step;
+    } else if (roll < 60) {
+      step.op = DiffOp::kTick;
+      if (running) return step;
+    } else if (roll < 70) {
+      step.op = DiffOp::kWake;
+      if (t->state != TaskState::kRunning) return step;
+    } else if (roll < 74) {
+      step.op = DiffOp::kBlock;
+      if (running && cur->state == TaskState::kRunning) return step;
+    } else if (roll < 78) {
+      step.op = DiffOp::kYield;
+      if (running && cur->state == TaskState::kRunning) return step;
+    } else if (roll < 84) {
+      step.op = rng.NextBool(0.5) ? DiffOp::kMoveFirst : DiffOp::kMoveLast;
+      if (t->OnRunQueue()) return step;
+    } else if (roll < 86) {
+      step.op = DiffOp::kDel;
+      if (t->OnRunQueue() && t->has_cpu == 0) return step;
+    } else if (roll < 91) {
+      step.op = DiffOp::kSetPriority;
+      step.value = rng.NextInRange(1, 6);
+      return step;
+    } else if (roll < 94) {
+      step.op = DiffOp::kSetPolicy;
+      const uint64_t kind = rng.NextBelow(6);
+      step.policy = kind == 0 ? kSchedFifo : kind == 1 ? kSchedRr : kSchedOther;
+      step.value = rng.NextInRange(0, kMaxRtPriority);
+      return step;
+    } else {
+      step.op = DiffOp::kFork;
+      if (running && cur->state == TaskState::kRunning && ntasks < 160) return step;
+    }
+  }
+}
+
+// How often the sequences reached the cases the mirror must get right.
+struct DiffCoverage {
+  uint64_t recalcs = 0;
+  uint64_t on_cpu_skips = 0;     // Picks that skipped a queued task on a CPU.
+  uint64_t wakes_on_cpu = 0;     // Re-adds while the dequeued prev still has the CPU.
+  uint64_t yielded_prevs = 0;
+  uint64_t rr_expiries = 0;
+  uint64_t realtime_picks = 0;
+  uint64_t idle_picks = 0;
+};
+
+void RunDifferential(const DiffConfig& cfg, DiffCoverage* coverage = nullptr) {
+  DiffCoverage unused;
+  DiffCoverage& cov = coverage != nullptr ? *coverage : unused;
+  DiffWorld mirror(cfg.cpus, cfg.smp);
+  DiffWorld kernel(cfg.cpus, cfg.smp);
+  Rng rng(cfg.seed);
+  // Few, short-quantum tasks so counters drain and recalculations happen;
+  // some real-time ones; shared, private and absent (kernel-thread) mms.
+  const int ntasks = static_cast<int>(rng.NextInRange(2, 2 + 2 * cfg.cpus + 6));
+  for (DiffWorld* w : {&mirror, &kernel}) {
+    for (int i = 0; i < 3; ++i) {
+      w->mms.push_back(w->factory.NewMm());
+    }
+  }
+  for (int i = 0; i < ntasks; ++i) {
+    const long priority = rng.NextInRange(1, 6);
+    const long counter = rng.NextBool(0.4) ? 0 : rng.NextInRange(0, 2 * priority);
+    const uint64_t kind = rng.NextBelow(10);
+    const uint32_t policy = kind == 0 ? kSchedFifo : kind == 1 ? kSchedRr : kSchedOther;
+    const long rt_priority = PolicyIsRealtime(policy) ? rng.NextInRange(0, kMaxRtPriority) : 0;
+    const int mm = static_cast<int>(rng.NextBelow(4));  // 3 is nullptr.
+    const int processor = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(cfg.cpus)));
+    for (DiffWorld* w : {&mirror, &kernel}) {
+      AddTask(*w, counter, priority, policy, rt_priority, mm, processor);
+    }
+  }
+  for (int step_no = 0; step_no < cfg.steps; ++step_no) {
+    const DiffStep step = NextStep(rng, mirror);
+    const char* op = DiffOpName(step.op);
+    const Task* prev = kernel.current[static_cast<size_t>(step.cpu)];
+    if (step.op == DiffOp::kSchedule && prev != nullptr) {
+      cov.yielded_prevs += PolicyHasYield(prev->policy) ? 1 : 0;
+      cov.rr_expiries += PolicyBase(prev->policy) == kSchedRr && prev->counter == 0 ? 1 : 0;
+    }
+    if (step.op == DiffOp::kWake) {
+      const Task* t = kernel.tasks[static_cast<size_t>(step.task)];
+      cov.wakes_on_cpu += t->has_cpu != 0 && !t->OnRunQueue() ? 1 : 0;
+    }
+    const size_t queued = kernel.sched.nr_running();
+    ViolationTrap trap;
+    try {
+      const Pick got = Apply(mirror, step, [&](int cpu, Task* prev) {
+        CostMeter meter(mirror.sched.cost_model());
+        Pick p;
+        p.next = mirror.sched.Schedule(cpu, prev, meter);
+        p.examined = meter.tasks_examined();
+        p.recalcs = meter.recalc_entries();
+        return p;
+      });
+      const Pick want = Apply(kernel, step, [&](int cpu, Task* prev) {
+        return ReferenceSchedule(kernel.sched, kernel.factory.task_list(), cpu, prev, cfg.smp);
+      });
+      ASSERT_EQ(PidOf(got.next), PidOf(want.next)) << Repro(cfg, step_no, op);
+      ASSERT_EQ(got.examined, want.examined) << Repro(cfg, step_no, op);
+      ASSERT_EQ(got.recalcs, want.recalcs) << Repro(cfg, step_no, op);
+      if (step.op == DiffOp::kSchedule) {
+        cov.recalcs += want.recalcs;
+        cov.on_cpu_skips += want.examined < kernel.sched.nr_running() && queued > 0 ? 1 : 0;
+        cov.realtime_picks += want.next != nullptr && want.next->IsRealtime() ? 1 : 0;
+        cov.idle_picks += want.next == nullptr ? 1 : 0;
+      }
+      mirror.sched.CheckInvariants();
+    } catch (const InvariantViolation& v) {
+      FAIL() << Repro(cfg, step_no, op) << ": " << (v.info.msg != nullptr ? v.info.msg : v.info.expr);
+    }
+    std::vector<int> got_queue;
+    std::vector<int> want_queue;
+    for (const Task* p : mirror.sched.QueueSnapshot()) got_queue.push_back(p->pid);
+    for (const Task* p : kernel.sched.QueueSnapshot()) want_queue.push_back(p->pid);
+    ASSERT_EQ(got_queue, want_queue) << Repro(cfg, step_no, op);
+  }
+}
+
+TEST(LinuxSchedulerDifferentialTest, MirrorScanMatchesKernelListWalk) {
+  std::vector<DiffConfig> configs;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    configs.push_back({seed, 1, false, 3000});  // UP kernel.
+    for (int cpus : {1, 2, 3, 4, 8, 16, 64}) {
+      configs.push_back({seed * 131 + static_cast<uint64_t>(cpus), cpus, true, 3000});
+    }
+  }
+  DiffCoverage cov;
+  for (const DiffConfig& cfg : configs) {
+    RunDifferential(cfg, &cov);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(cov.recalcs, 0u);
+  EXPECT_GT(cov.on_cpu_skips, 0u);
+  EXPECT_GT(cov.wakes_on_cpu, 0u);
+  EXPECT_GT(cov.yielded_prevs, 0u);
+  EXPECT_GT(cov.rr_expiries, 0u);
+  EXPECT_GT(cov.realtime_picks, 0u);
+  EXPECT_GT(cov.idle_picks, 0u);
 }
 
 }  // namespace
