@@ -110,15 +110,63 @@ uint64_t ReplicateSeed(const VolanoCellSpec& spec, int replicate) {
   return DeriveSeed(spec.seed, VolanoCellKey(spec), static_cast<uint64_t>(replicate));
 }
 
-int BenchReplicates() {
-  const char* env = std::getenv("ELSC_BENCH_REPLICATES");
+int BenchReplicates() { return IntEnv("ELSC_BENCH_REPLICATES", 1); }
+
+int IntEnv(const char* name, int fallback) {
+  const char* env = std::getenv(name);
   if (env != nullptr && env[0] != '\0') {
-    const int replicates = std::atoi(env);
-    if (replicates > 0) {
-      return replicates;
+    const int value = std::atoi(env);
+    if (value > 0) {
+      return value;
     }
   }
-  return 1;
+  return fallback;
+}
+
+namespace {
+
+// The comma-separated items of environment variable `name`, or of
+// `fallback` when it is unset or empty.
+std::vector<std::string> EnvItems(const char* name, const std::string& fallback) {
+  const char* env = std::getenv(name);
+  const std::string spec = env != nullptr && env[0] != '\0' ? env : fallback;
+  std::vector<std::string> items;
+  size_t pos = 0;
+  while (pos < spec.size()) {
+    size_t comma = spec.find(',', pos);
+    if (comma == std::string::npos) {
+      comma = spec.size();
+    }
+    items.push_back(spec.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return items;
+}
+
+}  // namespace
+
+std::vector<int> IntList(const char* name, const std::string& fallback, int min_value) {
+  std::vector<int> values;
+  for (const std::string& item : EnvItems(name, fallback)) {
+    const int value = std::atoi(item.c_str());
+    if (value >= min_value) {
+      values.push_back(value);
+    }
+  }
+  return values;
+}
+
+std::vector<SchedulerKind> SchedulerList(const char* name, const std::string& fallback) {
+  std::vector<SchedulerKind> kinds;
+  for (const std::string& item : EnvItems(name, fallback)) {
+    kinds.push_back(SchedulerKindFromName(item));
+  }
+  return kinds;
+}
+
+bool BenchTiming() {
+  const char* env = std::getenv("ELSC_BENCH_TIMING");
+  return env == nullptr || env[0] != '0';
 }
 
 VolanoRun RunVolanoCell(KernelConfig kernel, SchedulerKind scheduler, int rooms, uint64_t seed) {

@@ -67,6 +67,20 @@ uint64_t ReplicateSeed(const VolanoCellSpec& spec, int replicate);
 // ELSC_BENCH_REPLICATES if set to a positive integer, else 1.
 int BenchReplicates();
 
+// Environment knobs of the sweep benches. IntEnv: `name` if set to a
+// positive integer, else `fallback`. IntList: the comma-separated integers in
+// `name` (or `fallback` when unset or empty) that are >= min_value.
+// SchedulerList: the comma-separated scheduler names in `name` (or
+// `fallback`); an unknown name aborts.
+int IntEnv(const char* name, int fallback);
+std::vector<int> IntList(const char* name, const std::string& fallback, int min_value = 1);
+std::vector<SchedulerKind> SchedulerList(const char* name, const std::string& fallback);
+
+// False when ELSC_BENCH_TIMING=0: the sweep benches then leave the
+// wall-clock "timing" block out of their JSON, so files from different runs
+// can be byte-compared.
+bool BenchTiming();
+
 // Runs one VolanoMark cell (config x scheduler x rooms) to completion.
 VolanoRun RunVolanoCell(KernelConfig kernel, SchedulerKind scheduler, int rooms,
                         uint64_t seed = 1);

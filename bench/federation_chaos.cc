@@ -27,7 +27,7 @@
 //   ELSC_FED_USERS    users per room                   (default 8)
 //   ELSC_FED_MSGS     messages per user                (default 16)
 //   ELSC_FED_KERNEL   per-node machine: UP|1P|2P|4P    (default 1P)
-//   ELSC_FED_TIMING   0 -> omit the wall-clock timing block from the JSON
+//   ELSC_BENCH_TIMING 0 -> omit the wall-clock timing block from the JSON
 //
 // The scale layer's checkpoint/restore knobs apply here too (cells run
 // through RunShardedVolano): ELSC_SCALE_CKPT / _EVERY / _KEEP and
@@ -45,53 +45,6 @@
 #include "src/api/scale.h"
 
 namespace {
-
-std::vector<int> IntList(const char* env_name, const std::string& fallback,
-                         int min_value) {
-  const char* env = std::getenv(env_name);
-  const std::string spec = env != nullptr && env[0] != '\0' ? env : fallback;
-  std::vector<int> values;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const int value = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (value >= min_value) {
-      values.push_back(value);
-    }
-    pos = comma + 1;
-  }
-  return values;
-}
-
-std::vector<elsc::SchedulerKind> Schedulers() {
-  const char* env = std::getenv("ELSC_FED_SCHEDS");
-  const std::string spec = env != nullptr && env[0] != '\0' ? env : "linux,elsc";
-  std::vector<elsc::SchedulerKind> kinds;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    kinds.push_back(elsc::SchedulerKindFromName(spec.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return kinds;
-}
-
-int IntEnv(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && env[0] != '\0') {
-    const int value = std::atoi(env);
-    if (value > 0) {
-      return value;
-    }
-  }
-  return fallback;
-}
 
 // One sweep point: (scheduler, crash-rate-percent, retransmit on/off) — the
 // retransmit=false rows are the control column.
@@ -133,20 +86,20 @@ elsc::ScaleConfig PointConfig(const Point& point, uint64_t seed, int rooms,
 
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
-  std::vector<int> shard_counts = IntList("ELSC_FED_SHARDS", "1,2,4", 1);
-  std::vector<int> crash_pcts = IntList("ELSC_FED_CRASH", "0,50,100", 0);
+  std::vector<int> shard_counts = elsc::IntList("ELSC_FED_SHARDS", "1,2,4");
+  std::vector<int> crash_pcts = elsc::IntList("ELSC_FED_CRASH", "0,50,100", 0);
   if (shard_counts.empty()) shard_counts = {1};
   if (crash_pcts.empty()) crash_pcts = {0};
-  const std::vector<elsc::SchedulerKind> schedulers = Schedulers();
-  const int rooms = IntEnv("ELSC_FED_ROOMS", 8);
-  const int users = IntEnv("ELSC_FED_USERS", 8);
-  const int msgs = IntEnv("ELSC_FED_MSGS", 16);
-  const int loss_pct = IntEnv("ELSC_FED_LOSS", 10);
+  const std::vector<elsc::SchedulerKind> schedulers =
+      elsc::SchedulerList("ELSC_FED_SCHEDS", "linux,elsc");
+  const int rooms = elsc::IntEnv("ELSC_FED_ROOMS", 8);
+  const int users = elsc::IntEnv("ELSC_FED_USERS", 8);
+  const int msgs = elsc::IntEnv("ELSC_FED_MSGS", 16);
+  const int loss_pct = elsc::IntEnv("ELSC_FED_LOSS", 10);
   const char* kernel_env = std::getenv("ELSC_FED_KERNEL");
   const elsc::KernelConfig kernel =
       elsc::KernelConfigFromLabel(kernel_env != nullptr ? kernel_env : "1P");
-  const char* timing_env = std::getenv("ELSC_FED_TIMING");
-  const bool include_timing = timing_env == nullptr || timing_env[0] != '0';
+  const bool include_timing = elsc::BenchTiming();
 
   elsc::PrintBenchHeader(
       "Federation chaos sweep (failure model + recovery protocol)",

@@ -9,7 +9,7 @@
 // byte-identical at any shard count and any ELSC_BENCH_JOBS; the bench
 // additionally asserts in-process that every (rooms, scheduler) scenario
 // produced the same digest at every shard count. Wall-clock numbers live in
-// a separate "timing" block, omitted when ELSC_SCALE_TIMING=0 so CI can
+// a separate "timing" block, omitted when ELSC_BENCH_TIMING=0 so CI can
 // byte-compare the files.
 //
 //   usage: scale_sweep [seed]
@@ -21,7 +21,7 @@
 //   ELSC_SCALE_USERS    users per room                (default 20)
 //   ELSC_SCALE_MSGS     messages per user             (default 10)
 //   ELSC_SCALE_KERNEL   per-node machine: UP|1P|2P|4P (default 1P)
-//   ELSC_SCALE_TIMING   0 -> omit the wall-clock timing block from the JSON
+//   ELSC_BENCH_TIMING   0 -> omit the wall-clock timing block from the JSON
 //
 // Checkpoint/restore (docs/SCALE.md "Checkpoint & recovery"): with
 // ELSC_SCALE_CKPT=<prefix> each cell writes checksummed segment files every
@@ -42,70 +42,20 @@
 #include "bench/experiment_util.h"
 #include "src/api/scale.h"
 
-namespace {
-
-std::vector<int> IntList(const char* env_name, const std::string& fallback) {
-  const char* env = std::getenv(env_name);
-  const std::string spec = env != nullptr && env[0] != '\0' ? env : fallback;
-  std::vector<int> values;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const int value = std::atoi(spec.substr(pos, comma - pos).c_str());
-    if (value > 0) {
-      values.push_back(value);
-    }
-    pos = comma + 1;
-  }
-  return values;
-}
-
-std::vector<elsc::SchedulerKind> Schedulers() {
-  const char* env = std::getenv("ELSC_SCALE_SCHEDS");
-  const std::string spec = env != nullptr && env[0] != '\0' ? env : "linux,elsc";
-  std::vector<elsc::SchedulerKind> kinds;
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    kinds.push_back(elsc::SchedulerKindFromName(spec.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
-  return kinds;
-}
-
-int IntEnv(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env != nullptr && env[0] != '\0') {
-    const int value = std::atoi(env);
-    if (value > 0) {
-      return value;
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const uint64_t seed = argc > 1 ? static_cast<uint64_t>(std::atoll(argv[1])) : 42;
-  std::vector<int> room_counts = IntList("ELSC_SCALE_ROOMS", "40,200");
-  std::vector<int> shard_counts = IntList("ELSC_SCALE_SHARDS", "1,2,4");
+  std::vector<int> room_counts = elsc::IntList("ELSC_SCALE_ROOMS", "40,200");
+  std::vector<int> shard_counts = elsc::IntList("ELSC_SCALE_SHARDS", "1,2,4");
   if (room_counts.empty()) room_counts = {40};
   if (shard_counts.empty()) shard_counts = {1};
-  const std::vector<elsc::SchedulerKind> schedulers = Schedulers();
-  const int users = IntEnv("ELSC_SCALE_USERS", 20);
-  const int msgs = IntEnv("ELSC_SCALE_MSGS", 10);
+  const std::vector<elsc::SchedulerKind> schedulers =
+      elsc::SchedulerList("ELSC_SCALE_SCHEDS", "linux,elsc");
+  const int users = elsc::IntEnv("ELSC_SCALE_USERS", 20);
+  const int msgs = elsc::IntEnv("ELSC_SCALE_MSGS", 10);
   const char* kernel_env = std::getenv("ELSC_SCALE_KERNEL");
   const elsc::KernelConfig kernel =
       elsc::KernelConfigFromLabel(kernel_env != nullptr ? kernel_env : "1P");
-  const char* timing_env = std::getenv("ELSC_SCALE_TIMING");
-  const bool include_timing = timing_env == nullptr || timing_env[0] != '0';
+  const bool include_timing = elsc::BenchTiming();
 
   elsc::PrintBenchHeader(
       "Scale sweep (sharded parallel discrete-event mode)",

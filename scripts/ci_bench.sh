@@ -47,7 +47,7 @@ echo "=== scale_sweep smoke (sharded mode; JSON must be shard- and job-count inv
 # With the timing block off, the JSON is pure simulated data — all three
 # files must be byte-identical (the sharded mode's determinism contract;
 # the binary additionally digest-checks every shard count in-process).
-scale_env="ELSC_SCALE_ROOMS=8 ELSC_SCALE_USERS=4 ELSC_SCALE_MSGS=4 ELSC_SCALE_SCHEDS=elsc ELSC_SCALE_TIMING=0"
+scale_env="ELSC_SCALE_ROOMS=8 ELSC_SCALE_USERS=4 ELSC_SCALE_MSGS=4 ELSC_SCALE_SCHEDS=elsc ELSC_BENCH_TIMING=0"
 (cd build &&
   env ${scale_env} ELSC_SCALE_SHARDS=1 ELSC_BENCH_JOBS=1 ./bench/scale_sweep >/dev/null &&
   mv BENCH_scale.json BENCH_scale.shards1.json &&
@@ -65,7 +65,7 @@ echo "=== federation_chaos smoke (failure model; JSON must be shard- and job-cou
 # binary additionally digest-checks every shard count and asserts the
 # retransmit column never loses more deliveries than its no-retransmit
 # control in-process.
-fed_env="ELSC_FED_ROOMS=4 ELSC_FED_USERS=4 ELSC_FED_MSGS=8 ELSC_FED_CRASH=0,100 ELSC_FED_SCHEDS=elsc ELSC_FED_TIMING=0"
+fed_env="ELSC_FED_ROOMS=4 ELSC_FED_USERS=4 ELSC_FED_MSGS=8 ELSC_FED_CRASH=0,100 ELSC_FED_SCHEDS=elsc ELSC_BENCH_TIMING=0"
 (cd build &&
   env ${fed_env} ELSC_FED_SHARDS=1 ELSC_BENCH_JOBS=1 ./bench/federation_chaos >/dev/null &&
   mv BENCH_federation_chaos.json BENCH_federation_chaos.shards1.json &&
@@ -79,7 +79,7 @@ fed_env="ELSC_FED_ROOMS=4 ELSC_FED_USERS=4 ELSC_FED_MSGS=8 ELSC_FED_CRASH=0,100 
 echo "=== o1_scaling smoke (per-CPU lock model; JSON must be job-count invariant) ==="
 # A reduced CPU sweep run at harness jobs 1 vs 4. With the timing block off,
 # the JSON is pure simulated data, so the two files must be byte-identical.
-o1_env="ELSC_O1_CPUS=1,4,16 ELSC_O1_ROOMS=2 ELSC_O1_TIMING=0"
+o1_env="ELSC_O1_CPUS=1,4,16 ELSC_O1_ROOMS=2 ELSC_BENCH_TIMING=0"
 (cd build &&
   env ${o1_env} ELSC_BENCH_JOBS=1 ./bench/o1_scaling >/dev/null &&
   mv BENCH_o1_scaling.json BENCH_o1_scaling.jobs1.json &&

@@ -91,7 +91,7 @@ echo "=== 3. kill-at-window recovery drill: checkpoint -> SIGKILL -> resume ==="
 # the segment and render BENCH_scale.json byte-identical to an uninterrupted
 # control — at both ends of the shard axis and the harness job axis.
 scale_env=(ELSC_SCALE_ROOMS=8 ELSC_SCALE_USERS=4 ELSC_SCALE_MSGS=4
-           ELSC_SCALE_SCHEDS=elsc ELSC_SCALE_TIMING=0)
+           ELSC_SCALE_SCHEDS=elsc ELSC_BENCH_TIMING=0)
 
 mkdir -p "${scratch}/scale_control"
 (cd "${scratch}/scale_control" &&

@@ -186,7 +186,7 @@ struct ScaleCell {
 // any ELSC_BENCH_JOBS. `include_timing` additionally appends a "timing"
 // block of wall-clock measurements (tasks/sec curves, peak RSS); CI's
 // determinism gate renders with include_timing == false (the
-// ELSC_SCALE_TIMING=0 knob) so the files can be byte-compared.
+// ELSC_BENCH_TIMING=0 knob) so the files can be byte-compared.
 std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
                             bool include_timing);
 

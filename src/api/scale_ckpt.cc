@@ -10,126 +10,12 @@
 #include "src/api/scale.h"
 #include "src/base/atomic_file.h"
 #include "src/base/fnv.h"
+#include "src/base/line_codec.h"
 #include "src/base/string_util.h"
-#include "src/harness/journal.h"
 
 namespace elsc {
 
 namespace {
-
-// Appends space-terminated tokens: the encode half of the field lists below
-// (TokenReader is the decode half).
-class TokenWriter {
- public:
-  explicit TokenWriter(std::string* out) : out_(out) {}
-
-  bool U64(uint64_t v) {
-    *out_ += StrFormat("%llu ", static_cast<unsigned long long>(v));
-    return true;
-  }
-  bool Int(int64_t v) {
-    *out_ += StrFormat("%lld ", static_cast<long long>(v));
-    return true;
-  }
-  bool Hex64(uint64_t v) {
-    *out_ += StrFormat("%016llx ", static_cast<unsigned long long>(v));
-    return true;
-  }
-  bool Bool(bool v) { return U64(v ? 1 : 0); }
-  // %a hex-float: exact round-trip, no precision loss (the journal codec
-  // discipline from src/api/simulation.cc).
-  bool F64(double v) {
-    *out_ += StrFormat("%a ", v);
-    return true;
-  }
-  template <typename V>
-  bool Count(const V& v) {
-    return U64(v.size());
-  }
-
- private:
-  std::string* out_;
-};
-
-// Strict space-separated token scanner; every getter returns false on a
-// missing or malformed token, so a decoder can reject torn lines instead of
-// reading garbage.
-class TokenReader {
- public:
-  explicit TokenReader(std::string s) : s_(std::move(s)) {}
-
-  bool U64(uint64_t& out) { return Parse(&out, 10); }
-  bool Hex64(uint64_t& out) { return Parse(&out, 16); }
-
-  bool Int(int& out) {
-    SkipSpaces();
-    if (pos_ >= s_.size()) {
-      return false;
-    }
-    char* end = nullptr;
-    const long long v = std::strtoll(s_.c_str() + pos_, &end, 10);
-    if (!Advance(end) || v < INT32_MIN || v > INT32_MAX) {
-      return false;
-    }
-    out = static_cast<int>(v);
-    return true;
-  }
-
-  bool Bool(bool& out) {
-    uint64_t v = 0;
-    if (!U64(v) || v > 1) {
-      return false;
-    }
-    out = v != 0;
-    return true;
-  }
-
-  // A list length. Every element takes at least two bytes (" 0"), so a
-  // count the rest of the line cannot hold is rejected before allocating.
-  template <typename V>
-  bool Count(V& v) {
-    uint64_t n = 0;
-    if (!U64(n) || n > (s_.size() - pos_) / 2) {
-      return false;
-    }
-    v.resize(n);
-    return true;
-  }
-
-  bool Done() {
-    SkipSpaces();
-    return pos_ >= s_.size();
-  }
-
- private:
-  bool Parse(uint64_t* out, int base) {
-    SkipSpaces();
-    if (pos_ >= s_.size()) {
-      return false;
-    }
-    char* end = nullptr;
-    *out = std::strtoull(s_.c_str() + pos_, &end, base);
-    return Advance(end);
-  }
-  void SkipSpaces() {
-    while (pos_ < s_.size() && s_[pos_] == ' ') {
-      ++pos_;
-    }
-  }
-  bool Advance(char* end) {
-    const char* start = s_.c_str() + pos_;
-    if (end == start) {
-      return false;
-    }
-    pos_ = static_cast<size_t>(end - s_.c_str());
-    return pos_ >= s_.size() || s_[pos_] == ' ';
-  }
-
-  // Owned copy: callers routinely pass `line.substr(n)` temporaries, and a
-  // reference member would dangle the moment that statement ends.
-  const std::string s_;
-  size_t pos_ = 0;
-};
 
 // One field list per record type, driving both EncodeScaleCheckpoint (Io =
 // TokenWriter over a const record) and DecodeScaleCheckpoint (Io =

@@ -85,10 +85,13 @@ struct RunStats {
 // primitive: fold results as they complete instead of retaining them.
 void MergeRunStats(RunStats* into, const RunStats& from);
 
-// Renders every counter in `stats` into one canonical string (elapsed_sec in
-// hex-float, so no precision is lost). Two runs are bit-identical iff their
-// digests compare equal — this is what the harness determinism test checks
-// across job counts.
+// Renders the counters the golden-stats suite pinned into one canonical
+// string (elapsed_sec in hex-float, so no precision is lost). The subset is
+// declared by the digest tags of the RunStats field list in simulation.cc:
+// the per-CPU lock and O(1) counters, peak_live_tasks, the conn-chaos
+// counters and MemoryStats are left out, so the digest format stays frozen
+// as counters are added. Equal digests are what the harness determinism
+// test checks across job counts.
 std::string RunStatsDigest(const RunStats& stats);
 
 // Exact round-trip encodings for the run-supervisor's journal (checkpoint/

@@ -5,43 +5,9 @@
 
 #include "src/base/atomic_file.h"
 #include "src/base/fnv.h"
+#include "src/base/line_codec.h"
 
 namespace elsc {
-
-std::string JournalEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-bool JournalUnescape(const std::string& escaped, std::string* raw) {
-  raw->clear();
-  raw->reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] != '\\') {
-      *raw += escaped[i];
-      continue;
-    }
-    if (++i == escaped.size()) {
-      return false;  // Trailing lone backslash: torn write.
-    }
-    switch (escaped[i]) {
-      case '\\': *raw += '\\'; break;
-      case 'n': *raw += '\n'; break;
-      case 'r': *raw += '\r'; break;
-      default: return false;
-    }
-  }
-  return true;
-}
 
 bool RunJournal::Open(const std::string& path, uint64_t matrix_id, size_t cells) {
   entries_.clear();

@@ -10,8 +10,8 @@
 // specs, n = cell count), so a stale journal from a different experiment is
 // rejected instead of silently poisoning results. Payloads are the exact
 // round-trip encodings of cell results (see CellCodec in supervisor.h) with
-// newline/backslash escaped, and each line carries an FNV-1a 64 checksum of
-// the unescaped payload.
+// newline/backslash escaped (JournalEscape, src/base/line_codec.h), and each
+// line carries an FNV-1a 64 checksum of the unescaped payload.
 //
 // Crash tolerance: every mutation rewrites the whole file through
 // AtomicWriteFile (write-temp + fsync + rename), so the on-disk journal is
@@ -32,14 +32,6 @@
 #include <unordered_map>
 
 namespace elsc {
-
-// Journal-style payload escaping, shared by every line-oriented durable
-// format in the tree (run journal, quarantine file, scale checkpoints):
-// backslash, newline, and carriage return become two-character sequences so
-// an arbitrary payload fits in one record line. Unescape returns false on a
-// malformed sequence (the signature of a torn or corrupted write).
-std::string JournalEscape(const std::string& raw);
-bool JournalUnescape(const std::string& escaped, std::string* raw);
 
 struct JournalEntry {
   int attempts = 0;

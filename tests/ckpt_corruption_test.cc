@@ -15,6 +15,8 @@
 #include "src/api/scale_ckpt.h"
 #include "src/api/simulation.h"
 #include "src/base/atomic_file.h"
+#include "src/base/fnv.h"
+#include "src/base/string_util.h"
 #include "src/harness/journal.h"
 
 namespace elsc {
@@ -194,6 +196,45 @@ TEST(CkptCorruptionTest, RunStatsDecoderRejectsTruncations) {
   for (size_t len = numeric_end; len <= full.size(); ++len) {
     RunStats torn;
     DecodeRunStats(full.substr(0, len), &torn);  // Must not crash.
+  }
+}
+
+// strtoull would read "-1" as 2^64-1 and skip a leading tab; the token
+// reader accepts only what the encoder writes, so a sign or a tab in an
+// unsigned field rejects the record.
+TEST(CkptCorruptionTest, UnsignedTokensRejectSignsAndTabs) {
+  const std::vector<std::string> bad = {"-1", "+1", "\t1"};
+  const std::string stats = EncodeRunStats(RunStats{});
+  ASSERT_EQ(stats.substr(0, 2), "0 ");
+  RunStats decoded;
+  ASSERT_TRUE(DecodeRunStats("1" + stats.substr(1), &decoded));
+  for (const std::string& token : bad) {
+    EXPECT_FALSE(DecodeRunStats(token + stats.substr(1), &decoded))
+        << "schedule_calls token \"" << token << "\" decoded";
+  }
+
+  // The checkpoint "run" record: replace its second token (messages_sent,
+  // a U64) and re-seal the trailer so the decoder reaches the record
+  // instead of stopping at the checksum.
+  const std::string full = EncodeScaleCheckpoint(SampleCheckpoint());
+  const size_t run_at = full.find("run ");
+  const size_t token_at = full.find(' ', run_at + 4) + 1;
+  const size_t token_end = full.find(' ', token_at);
+  ASSERT_EQ(full.substr(token_at, token_end - token_at), "100");
+  const auto with_token = [&](const std::string& token) {
+    const std::string body = full.substr(0, token_at) + token +
+                             full.substr(token_end, full.rfind("end ") - token_end);
+    return body + StrFormat("end %016llx\n",
+                            static_cast<unsigned long long>(Fnv1a64(body)));
+  };
+  ScaleCheckpoint ck;
+  std::string error;
+  ASSERT_TRUE(DecodeScaleCheckpoint(with_token("1"), &ck, &error)) << error;
+  EXPECT_EQ(ck.totals.messages_sent, 1u);
+  for (const std::string& token : bad) {
+    EXPECT_FALSE(DecodeScaleCheckpoint(with_token(token), &ck, &error))
+        << "run token \"" << token << "\" decoded";
+    EXPECT_NE(error.find("bad run record"), std::string::npos) << error;
   }
 }
 
