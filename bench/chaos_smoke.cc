@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
     cells.push_back({elsc::KernelConfig::kSmp4, kind});
   }
 
-  const double start = elsc::NowSec();
   const std::vector<elsc::ChaosMixRun> runs = elsc::RunBenchMatrix(
       "chaos_smoke", cells.size(),
       [&](size_t i) {
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
             mix, elsc::SecToCycles(120), chaos);
       },
       elsc::BenchJobs());
-  const double elapsed = elsc::NowSec() - start;
 
   std::printf("%-4s %-12s %8s %8s %6s %6s %6s %6s %6s %6s  %s\n", "cfg", "sched",
               "audits", "picks", "consv", "cntr", "struct", "table", "order",
@@ -122,8 +120,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", json_path);
     return elsc::BenchExit(1);
   }
-  std::fprintf(out, "{\n  \"seed\": %llu,\n  \"elapsed_sec\": %.3f,\n  \"cells\": [\n",
-               static_cast<unsigned long long>(seed), elapsed);
+  std::fprintf(out, "{\n  \"seed\": %llu,\n  \"cells\": [\n",
+               static_cast<unsigned long long>(seed));
   for (size_t i = 0; i < cells.size(); ++i) {
     const elsc::AuditStats& a = runs[i].stats.audit;
     const elsc::FaultStats& f = runs[i].stats.faults;
@@ -183,6 +181,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "chaos smoke: RED — violations or watchdog firings above\n");
     return elsc::BenchExit(1);
   }
-  std::printf("chaos smoke: all %zu cells green in %.2fs\n", cells.size(), elapsed);
+  std::printf("chaos smoke: all %zu cells green\n", cells.size());
   return elsc::BenchExit(0);
 }

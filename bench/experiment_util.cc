@@ -1,7 +1,6 @@
 #include "bench/experiment_util.h"
 
 #include <cerrno>  // program_invocation_name (glibc) for repro commands.
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -164,11 +163,6 @@ std::vector<SchedulerKind> SchedulerList(const char* name, const std::string& fa
   return kinds;
 }
 
-bool BenchTiming() {
-  const char* env = std::getenv("ELSC_BENCH_TIMING");
-  return env == nullptr || env[0] != '0';
-}
-
 VolanoRun RunVolanoCell(KernelConfig kernel, SchedulerKind scheduler, int rooms, uint64_t seed) {
   VolanoConfig volano;
   volano.rooms = rooms;
@@ -296,12 +290,6 @@ void MaybeExportCsv(const std::string& name, const TextTable& table) {
   } else {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
   }
-}
-
-double NowSec() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 void PrintBenchHeader(const std::string& experiment, const std::string& description) {

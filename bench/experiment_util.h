@@ -76,11 +76,6 @@ int IntEnv(const char* name, int fallback);
 std::vector<int> IntList(const char* name, const std::string& fallback, int min_value = 1);
 std::vector<SchedulerKind> SchedulerList(const char* name, const std::string& fallback);
 
-// False when ELSC_BENCH_TIMING=0: the sweep benches then leave the
-// wall-clock "timing" block out of their JSON, so files from different runs
-// can be byte-compared.
-bool BenchTiming();
-
 // Runs one VolanoMark cell (config x scheduler x rooms) to completion.
 VolanoRun RunVolanoCell(KernelConfig kernel, SchedulerKind scheduler, int rooms,
                         uint64_t seed = 1);
@@ -110,10 +105,6 @@ std::string FmtF(double value, int decimals = 1);
 std::string FmtI(uint64_t value);
 // "870" for a single replicate, "870 ±12" for several.
 std::string FmtMeanSd(const Summary& summary, int decimals = 0);
-
-// Host wall-clock seconds from a steady clock, for the benches' timing
-// blocks. Never feeds simulated (deterministic) output.
-double NowSec();
 
 // Prints the standard bench header (experiment id + workload summary),
 // including the harness job/replicate counts when they differ from 1.

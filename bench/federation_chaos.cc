@@ -27,7 +27,6 @@
 //   ELSC_FED_USERS    users per room                   (default 8)
 //   ELSC_FED_MSGS     messages per user                (default 16)
 //   ELSC_FED_KERNEL   per-node machine: UP|1P|2P|4P    (default 1P)
-//   ELSC_BENCH_TIMING 0 -> omit the wall-clock timing block from the JSON
 //
 // The scale layer's checkpoint/restore knobs apply here too (cells run
 // through RunShardedVolano): ELSC_SCALE_CKPT / _EVERY / _KEEP and
@@ -99,7 +98,6 @@ int main(int argc, char** argv) {
   const char* kernel_env = std::getenv("ELSC_FED_KERNEL");
   const elsc::KernelConfig kernel =
       elsc::KernelConfigFromLabel(kernel_env != nullptr ? kernel_env : "1P");
-  const bool include_timing = elsc::BenchTiming();
 
   elsc::PrintBenchHeader(
       "Federation chaos sweep (failure model + recovery protocol)",
@@ -122,29 +120,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Cells run serially: each is itself a multi-threaded scenario, and serial
-  // cells keep the per-cell wall-clock measurements honest.
-  const double sweep_start = elsc::NowSec();
+  // Cells run serially: each is itself a multi-threaded scenario.
   const std::vector<elsc::ScaleCell> cells = elsc::RunBenchMatrix(
       "federation_chaos", points.size(),
       [&](size_t i) {
         elsc::ScaleCell cell;
         cell.config = PointConfig(points[i], seed, rooms, users, msgs,
                                   loss_pct, kernel);
-        const double start = elsc::NowSec();
         cell.run = elsc::RunShardedVolano(cell.config, points[i].shards);
-        cell.wall_sec = elsc::NowSec() - start;
-        if (cell.wall_sec > 0.0) {
-          cell.tasks_per_wall_sec =
-              static_cast<double>(cell.run.stats.machine.tasks_created) /
-              cell.wall_sec;
-          cell.events_per_wall_sec =
-              static_cast<double>(cell.run.stats.events.fired) / cell.wall_sec;
-        }
         return cell;
       },
       /*jobs=*/1);
-  const double sweep_elapsed = elsc::NowSec() - sweep_start;
 
   std::printf("%-12s %6s %5s %7s %8s %9s %6s %6s %6s %9s %11s %8s\n", "sched",
               "crash%", "retx", "shards", "crashes", "degraded", "lost",
@@ -229,11 +215,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", json_path);
     return elsc::BenchExit(1);
   }
-  const std::string json = elsc::RenderScaleJson(cells, seed, include_timing);
+  const std::string json = elsc::RenderScaleJson(cells, seed);
   std::fwrite(json.data(), 1, json.size(), out);
   std::fclose(out);
-  std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, cells.size(),
-              sweep_elapsed);
+  std::printf("wrote %s (%zu cells)\n", json_path, cells.size());
 
   if (!all_ok || !deterministic || !protocol_ok) {
     std::fprintf(stderr, "federation chaos: RED — see above\n");

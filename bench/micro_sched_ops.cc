@@ -8,7 +8,8 @@
 //    the quantity the paper's Figure 5 reports.
 //
 // The stock scheduler's Schedule() is O(queue depth); ELSC's is bounded by
-// its search limit; the heap's is O(log n).
+// its search limit; the heap's is O(log n). BM_EventQueueChurn measures the
+// discrete-event engine's own hot path underneath all of them.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +23,7 @@
 #include "src/sched/cost_model.h"
 #include "src/sched/factory.h"
 #include "src/sched/goodness.h"
+#include "src/sim/event_queue.h"
 #include "tests/sched_test_util.h"
 
 namespace elsc {
@@ -258,10 +260,59 @@ void BM_TaskAllocArena(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kAllocBatch);
 }
 
+// ---------------------------------------------------------------------------
+// Event-queue churn shaped like the simulator's usage: a rolling window of
+// ~1024 pending timers (ticks, segment ends, sleeps) where most events fire
+// but a steady fraction is cancelled first (preemptions, early wakes). Each
+// iteration tops the window up, makes one cancel attempt — misses on
+// already-fired ids are exactly the Cancel() hot path — and fires one event.
+// Items are queue operations (scheduled + fired + cancelled).
+// ---------------------------------------------------------------------------
+
+void BM_EventQueueChurn(benchmark::State& state) {
+  EventQueue queue;
+  Rng rng(42);
+  std::vector<EventId> pending;
+  pending.reserve(4096);
+  uint64_t fired = 0;
+  volatile uint64_t sink = 0;  // Keeps callbacks from folding away.
+  Cycles now = 0;
+  uint64_t scheduled = 0;
+  for (auto _ : state) {
+    while (queue.Size() < 1024) {
+      const Cycles when = now + 1 + rng.NextBelow(400000);
+      // Capture shaped like the machine's dispatch events ([this, cpu_id,
+      // next, pick_cost] in machine.cc): ~32 bytes of state.
+      const uint64_t cpu_id = scheduled++ & 3;
+      const uint64_t pick_cost = when & 0xffff;
+      pending.push_back(queue.Schedule(when, [&fired, &sink, cpu_id, pick_cost] {
+        ++fired;
+        sink = fired + cpu_id + pick_cost;
+      }));
+    }
+    const size_t victim = rng.NextBelow(pending.size());
+    bool cancelled = queue.Cancel(pending[victim]);
+    benchmark::DoNotOptimize(cancelled);
+    pending[victim] = pending.back();
+    pending.pop_back();
+    EventQueue::Fired event = queue.PopNext();
+    now = event.when;
+    event.fn();
+    if (pending.size() > 4096) {
+      pending.clear();  // Stale ids; Cancel() on them is a no-op anyway.
+    }
+  }
+  const EventQueueStats& stats = queue.stats();
+  state.SetItemsProcessed(static_cast<int64_t>(stats.scheduled + stats.fired + stats.cancelled));
+  state.counters["callback_heap_allocs"] =
+      benchmark::Counter(static_cast<double>(stats.callback_heap_allocs));
+}
+
 BENCHMARK(BM_TableSearchLinear)->RangeMultiplier(2)->Range(16, 256);
 BENCHMARK(BM_TableSearchBitmap)->RangeMultiplier(2)->Range(16, 256);
 BENCHMARK(BM_TaskAllocHeap);
 BENCHMARK(BM_TaskAllocArena);
+BENCHMARK(BM_EventQueueChurn);
 
 BENCHMARK_CAPTURE(BM_Schedule, linux, SchedulerKind::kLinux)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_Schedule, elsc, SchedulerKind::kElsc)->RangeMultiplier(4)->Range(8, 2048);

@@ -21,7 +21,6 @@
 //   ELSC_O1_SCHEDS   comma-separated schedulers     (default "linux,elsc,multiqueue,o1")
 //   ELSC_O1_USERS    users per room                 (default 8)
 //   ELSC_O1_MSGS     messages per user              (default 10)
-//   ELSC_BENCH_TIMING 0 -> omit the wall-clock timing block from the JSON
 
 #include <cstdint>
 #include <cstdio>
@@ -45,7 +44,6 @@ struct Cell {
   CellSpec spec;
   elsc::VolanoRun run;
   std::string digest;
-  double wall_sec = 0.0;
 };
 
 }  // namespace
@@ -60,7 +58,6 @@ int main(int argc, char** argv) {
       elsc::SchedulerList("ELSC_O1_SCHEDS", "linux,elsc,multiqueue,o1");
   const int users = elsc::IntEnv("ELSC_O1_USERS", 8);
   const int msgs = elsc::IntEnv("ELSC_O1_MSGS", 10);
-  const bool include_timing = elsc::BenchTiming();
 
   elsc::PrintBenchHeader(
       "O(1) scaling sweep (beyond the paper's 4P ceiling)",
@@ -77,7 +74,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double sweep_start = elsc::NowSec();
   const std::vector<Cell> cells = elsc::RunBenchMatrix(
       "o1_scaling", specs.size(), [&](size_t i) {
         Cell cell;
@@ -93,13 +89,10 @@ int main(int argc, char** argv) {
         vc.rooms = specs[i].rooms;
         vc.users_per_room = users;
         vc.messages_per_user = msgs;
-        const double start = elsc::NowSec();
         cell.run = elsc::RunVolano(mc, vc);
-        cell.wall_sec = elsc::NowSec() - start;
         cell.digest = elsc::RunStatsDigest(cell.run.stats);
         return cell;
       });
-  const double sweep_elapsed = elsc::NowSec() - sweep_start;
 
   std::printf("%-12s %5s %6s %6s %11s %10s %9s %8s %7s %7s %7s %8s\n", "sched",
               "cpus", "rooms", "tasks", "sched_calls", "cyc/sched", "lockwait%",
@@ -215,17 +208,10 @@ int main(int argc, char** argv) {
     json += elsc::StrFormat("      \"digest\": \"%s\"\n", cell.digest.c_str());
     json += i + 1 < cells.size() ? "    },\n" : "    }\n";
   }
-  json += "  ]";
-  if (include_timing) {
-    json += ",\n  \"timing\": {\n";
-    json += elsc::StrFormat("    \"sweep_wall_sec\": \"%a\"\n", sweep_elapsed);
-    json += "  }";
-  }
-  json += "\n}\n";
+  json += "  ]\n}\n";
   std::fwrite(json.data(), 1, json.size(), out);
   std::fclose(out);
-  std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, cells.size(),
-              sweep_elapsed);
+  std::printf("wrote %s (%zu cells)\n", json_path, cells.size());
 
   if (!all_ok) {
     std::fprintf(stderr, "o1 scaling sweep: RED — see above\n");

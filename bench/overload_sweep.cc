@@ -90,7 +90,6 @@ int main(int argc, char** argv) {
   const elsc::WebserverConfig base =
       elsc::OverloadBaseConfig(elsc::SecToCycles(duration_sec));
 
-  const double start = elsc::NowSec();
   const std::vector<elsc::OverloadCell> runs = elsc::RunBenchMatrix(
       "overload_sweep", cells.size(),
       [&](size_t i) {
@@ -101,7 +100,6 @@ int main(int argc, char** argv) {
         return elsc::RunOverloadCell(cells[i], base, chaos);
       },
       elsc::BenchJobs());
-  const double elapsed = elsc::NowSec() - start;
 
   std::printf("%-12s %5s %9s %9s %8s %7s %6s %7s %7s %7s %7s %8s\n", "sched",
               "load", "offered", "goodput", "backlog", "shed", "reset",
@@ -136,7 +134,7 @@ int main(int argc, char** argv) {
   const std::string json = elsc::RenderOverloadJson(runs, seed, chaos_on);
   std::fwrite(json.data(), 1, json.size(), out);
   std::fclose(out);
-  std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, runs.size(), elapsed);
+  std::printf("wrote %s (%zu cells)\n", json_path, runs.size());
 
   if (!all_ok) {
     std::fprintf(stderr, "overload sweep: RED — failed cells above\n");

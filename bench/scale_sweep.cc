@@ -2,15 +2,14 @@
 // an order of magnitude past the largest serial scenario. Each cell runs ONE
 // federation scenario — rooms split across per-node Machines, advanced by
 // `shards` worker threads in conservative time-windowed lock-step — and the
-// sweep reports tasks-simulated-per-wall-second and peak memory vs room
+// sweep reports deliveries, federation traffic and peak memory vs room
 // count and shard count, per scheduler backend, to BENCH_scale.json.
 //
-// Determinism: the JSON cell bodies contain only simulated data, so they are
+// Determinism: the JSON contains only simulated data, so it is
 // byte-identical at any shard count and any ELSC_BENCH_JOBS; the bench
 // additionally asserts in-process that every (rooms, scheduler) scenario
-// produced the same digest at every shard count. Wall-clock numbers live in
-// a separate "timing" block, omitted when ELSC_BENCH_TIMING=0 so CI can
-// byte-compare the files.
+// produced the same digest at every shard count. Host speed is measured by
+// perfbench (workload federation_elsc), not here.
 //
 //   usage: scale_sweep [seed]
 //
@@ -21,7 +20,6 @@
 //   ELSC_SCALE_USERS    users per room                (default 20)
 //   ELSC_SCALE_MSGS     messages per user             (default 10)
 //   ELSC_SCALE_KERNEL   per-node machine: UP|1P|2P|4P (default 1P)
-//   ELSC_BENCH_TIMING   0 -> omit the wall-clock timing block from the JSON
 //
 // Checkpoint/restore (docs/SCALE.md "Checkpoint & recovery"): with
 // ELSC_SCALE_CKPT=<prefix> each cell writes checksummed segment files every
@@ -55,7 +53,6 @@ int main(int argc, char** argv) {
   const char* kernel_env = std::getenv("ELSC_SCALE_KERNEL");
   const elsc::KernelConfig kernel =
       elsc::KernelConfigFromLabel(kernel_env != nullptr ? kernel_env : "1P");
-  const bool include_timing = elsc::BenchTiming();
 
   elsc::PrintBenchHeader(
       "Scale sweep (sharded parallel discrete-event mode)",
@@ -82,44 +79,28 @@ int main(int argc, char** argv) {
   }
 
   // Cells run serially: each one is itself a multi-threaded scenario (its
-  // shard pool wants the machine), and serial cells keep the per-cell
-  // wall-clock measurements honest.
-  const double sweep_start = elsc::NowSec();
+  // shard pool wants the machine).
   const std::vector<elsc::ScaleCell> cells = elsc::RunBenchMatrix(
       "scale_sweep", specs.size(),
       [&](size_t i) {
-        elsc::ScaleCell cell;
-        cell.config = specs[i];
-        const double start = elsc::NowSec();
-        cell.run = elsc::RunShardedVolano(specs[i], spec_shards[i]);
-        cell.wall_sec = elsc::NowSec() - start;
-        if (cell.wall_sec > 0.0) {
-          cell.tasks_per_wall_sec =
-              static_cast<double>(cell.run.stats.machine.tasks_created) / cell.wall_sec;
-          cell.events_per_wall_sec =
-              static_cast<double>(cell.run.stats.events.fired) / cell.wall_sec;
-        }
-        return cell;
+        return elsc::ScaleCell{specs[i], elsc::RunShardedVolano(specs[i], spec_shards[i])};
       },
       /*jobs=*/1);
-  const double sweep_elapsed = elsc::NowSec() - sweep_start;
 
-  std::printf("%-12s %6s %6s %6s %7s %9s %10s %8s %11s %10s %10s %8s\n",
+  std::printf("%-12s %6s %6s %6s %7s %9s %10s %10s %10s %8s\n",
               "sched", "rooms", "conns", "nodes", "shards", "windows",
-              "delivered", "wall_s", "tasks/walls", "peak_tasks", "arena_kb",
-              "verdict");
+              "delivered", "peak_tasks", "arena_kb", "verdict");
   bool all_ok = true;
   for (const elsc::ScaleCell& cell : cells) {
     const elsc::ScaleRun& r = cell.run;
     const bool ok = r.completed && !r.stats.failed;
     all_ok = all_ok && ok;
-    std::printf("%-12s %6llu %6llu %6d %7d %9llu %10llu %8.2f %11.0f %10llu %10llu %8s\n",
+    std::printf("%-12s %6llu %6llu %6d %7d %9llu %10llu %10llu %10llu %8s\n",
                 elsc::SchedulerKindName(cell.config.scheduler),
                 static_cast<unsigned long long>(r.rooms),
                 static_cast<unsigned long long>(r.connections), r.nodes,
                 r.shards, static_cast<unsigned long long>(r.windows),
                 static_cast<unsigned long long>(r.messages_delivered),
-                cell.wall_sec, cell.tasks_per_wall_sec,
                 static_cast<unsigned long long>(r.peak_live_tasks),
                 static_cast<unsigned long long>(r.peak_task_arena_bytes / 1024),
                 ok ? "ok" : "FAIL");
@@ -156,11 +137,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", json_path);
     return elsc::BenchExit(1);
   }
-  const std::string json = elsc::RenderScaleJson(cells, seed, include_timing);
+  const std::string json = elsc::RenderScaleJson(cells, seed);
   std::fwrite(json.data(), 1, json.size(), out);
   std::fclose(out);
-  std::printf("wrote %s (%zu cells in %.2fs wall)\n", json_path, cells.size(),
-              sweep_elapsed);
+  std::printf("wrote %s (%zu cells)\n", json_path, cells.size());
 
   if (!all_ok || !deterministic) {
     std::fprintf(stderr, "scale sweep: RED — see above\n");

@@ -2,7 +2,7 @@
 # Teeth check for the run supervisor (src/harness/supervisor.h): proves that
 # a crashing cell is quarantined with a repro artifact and a nonzero exit,
 # and that a transient (once-only) timeout is retried to a green run — using
-# perf_smoke's real 4-cell VolanoMark matrix as the victim.
+# chaos_smoke's real 8-cell fault-injection matrix as the victim.
 #
 #   usage: scripts/ci_supervised.sh
 #
@@ -15,12 +15,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 jobs="${ELSC_BUILD_JOBS:-2}"
-churn_events=100000
-rooms=2
 
 echo "=== build (build/) ==="
 cmake -B build -S . >/dev/null
-cmake --build build -j "${jobs}" --target perf_smoke scale_sweep
+cmake --build build -j "${jobs}" --target chaos_smoke scale_sweep
 
 scratch="build/ci_supervised"
 rm -rf "${scratch}"
@@ -33,11 +31,11 @@ status=0
  ELSC_BENCH_JOBS=2 \
  ELSC_SUPERVISE_INJECT=crash@1 \
  ELSC_QUARANTINE_FILE=quarantine.log \
- ../bench/perf_smoke "${churn_events}" "${rooms}" \
+ ../bench/chaos_smoke \
    >stdout_crash.log 2>stderr_crash.log) || status=$?
 
 if [[ "${status}" -eq 0 ]]; then
-  echo "FAIL: perf_smoke exited 0 despite an injected crash"
+  echo "FAIL: chaos_smoke exited 0 despite an injected crash"
   exit 1
 fi
 echo "  exit status ${status} (nonzero, as required)"
@@ -54,14 +52,15 @@ fi
 echo "  quarantine artifact records the cell, class, and repro line"
 
 # The rest of the matrix must still have completed and been reported: the
-# /proc-style summary on stdout, the structured block in the JSON.
-if ! grep -Eq "quarantined: +2" "${scratch}/stdout_crash.log"; then
+# /proc-style summary on stdout, the structured block in the JSON. The
+# matrix runs once, so the one injected crash quarantines exactly one cell.
+if ! grep -Eq "quarantined: +1$" "${scratch}/stdout_crash.log"; then
   echo "FAIL: supervision summary missing from bench stdout"
   exit 1
 fi
-if ! grep -q '"supervision"' "${scratch}/BENCH_perf_smoke.json" ||
-   ! grep -q '"quarantined": 2' "${scratch}/BENCH_perf_smoke.json"; then
-  echo "FAIL: supervision block missing from BENCH_perf_smoke.json"
+if ! grep -q '"supervision"' "${scratch}/BENCH_chaos_smoke.json" ||
+   ! grep -q '"quarantined": 1,' "${scratch}/BENCH_chaos_smoke.json"; then
+  echo "FAIL: supervision block missing from BENCH_chaos_smoke.json"
   exit 1
 fi
 echo "  supervision summary present on stdout and in the JSON"
@@ -70,7 +69,7 @@ echo "=== 2. transient timeout in cell 2 (once): expect retry + green exit ==="
 (cd "${scratch}" &&
  ELSC_BENCH_JOBS=2 \
  ELSC_SUPERVISE_INJECT=timeout@2:once \
- ../bench/perf_smoke "${churn_events}" "${rooms}" \
+ ../bench/chaos_smoke \
    >stdout_retry.log 2>stderr_retry.log)
 echo "  exit status 0 (retry recovered the cell)"
 
@@ -78,9 +77,9 @@ if ! grep -q "elsc-supervisor: retry cell=2" "${scratch}/stderr_retry.log"; then
   echo "FAIL: no retry line on stderr for the injected transient timeout"
   exit 1
 fi
-retries="$(sed -n 's/^ *"retries": \([0-9][0-9]*\),*$/\1/p' "${scratch}/BENCH_perf_smoke.json")"
+retries="$(sed -n 's/.*"retries": \([0-9][0-9]*\),.*/\1/p' "${scratch}/BENCH_chaos_smoke.json")"
 if [[ -z "${retries}" || "${retries}" -lt 1 ]]; then
-  echo "FAIL: BENCH_perf_smoke.json reports retries=${retries:-missing}, want >= 1"
+  echo "FAIL: BENCH_chaos_smoke.json reports retries=${retries:-missing}, want >= 1"
   exit 1
 fi
 echo "  JSON supervision block reports ${retries} retry(ies)"
@@ -91,7 +90,7 @@ echo "=== 3. kill-at-window recovery drill: checkpoint -> SIGKILL -> resume ==="
 # the segment and render BENCH_scale.json byte-identical to an uninterrupted
 # control — at both ends of the shard axis and the harness job axis.
 scale_env=(ELSC_SCALE_ROOMS=8 ELSC_SCALE_USERS=4 ELSC_SCALE_MSGS=4
-           ELSC_SCALE_SCHEDS=elsc ELSC_BENCH_TIMING=0)
+           ELSC_SCALE_SCHEDS=elsc)
 
 mkdir -p "${scratch}/scale_control"
 (cd "${scratch}/scale_control" &&

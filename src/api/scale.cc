@@ -1,7 +1,5 @@
 #include "src/api/scale.h"
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -9,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "src/base/assert.h"
@@ -1262,8 +1259,7 @@ std::string ScaleRunSignature(const ScaleRun& run) {
   return sig;
 }
 
-std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
-                            bool include_timing) {
+std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed) {
   std::string out;
   out += StrFormat("{\n  \"seed\": %llu,\n  \"cells\": [\n",
                    static_cast<unsigned long long>(seed));
@@ -1343,31 +1339,7 @@ std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
         static_cast<unsigned long long>(r.digest),
         r.completed ? "true" : "false", i + 1 < cells.size() ? "," : "");
   }
-  out += "  ]";
-  if (include_timing) {
-    // Host measurements — everything above this block is simulated data and
-    // byte-identical across shard/job counts; the CI determinism gate
-    // renders with include_timing == false.
-    struct rusage usage = {};
-    getrusage(RUSAGE_SELF, &usage);
-    out += StrFormat(
-        ",\n  \"timing\": {\n    \"host_cpus\": %u, \"peak_rss_kb\": %llu,\n"
-        "    \"cells\": [\n",
-        std::thread::hardware_concurrency(),
-        static_cast<unsigned long long>(usage.ru_maxrss));
-    for (size_t i = 0; i < cells.size(); ++i) {
-      const ScaleCell& cell = cells[i];
-      out += StrFormat(
-          "      {\"scheduler\": \"%s\", \"rooms\": %d, \"shards\": %d, "
-          "\"wall_sec\": %.4f, \"tasks_per_wall_sec\": %.1f, "
-          "\"events_per_wall_sec\": %.1f}%s\n",
-          SchedulerKindName(cell.config.scheduler), cell.config.rooms,
-          cell.run.shards, cell.wall_sec, cell.tasks_per_wall_sec,
-          cell.events_per_wall_sec, i + 1 < cells.size() ? "," : "");
-    }
-    out += "    ]\n  }";
-  }
-  out += "\n}\n";
+  out += "  ]\n}\n";
   return out;
 }
 

@@ -170,25 +170,16 @@ ScaleRun RunShardedVolano(const ScaleConfig& config, int shards);
 std::string ScaleRunSignature(const ScaleRun& run);
 
 // One sweep cell for bench/scale_sweep: a scenario size x scheduler x shard
-// count, plus the wall-clock the bench measured around it (wall_sec and
-// tasks_per_wall_sec are host measurements — never part of the
-// deterministic JSON body, see RenderScaleJson).
+// count and its run.
 struct ScaleCell {
   ScaleConfig config;
   ScaleRun run;
-  double wall_sec = 0.0;
-  double tasks_per_wall_sec = 0.0;
-  double events_per_wall_sec = 0.0;
 };
 
-// Renders the sweep as canonical JSON. The cell bodies contain only
-// simulated (deterministic) data — byte-identical at any shard count and
-// any ELSC_BENCH_JOBS. `include_timing` additionally appends a "timing"
-// block of wall-clock measurements (tasks/sec curves, peak RSS); CI's
-// determinism gate renders with include_timing == false (the
-// ELSC_BENCH_TIMING=0 knob) so the files can be byte-compared.
-std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed,
-                            bool include_timing);
+// Renders the sweep as canonical JSON. It contains only simulated
+// (deterministic) data, so it is byte-identical at any shard count and any
+// ELSC_BENCH_JOBS.
+std::string RenderScaleJson(const std::vector<ScaleCell>& cells, uint64_t seed);
 
 }  // namespace elsc
 

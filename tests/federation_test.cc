@@ -128,7 +128,7 @@ TEST(FederationTest, ChaosArmedJsonBitIdenticalAcrossShardAndJobCounts) {
         },
         CellCodec<ScaleCell>{}, jobs);
     EXPECT_TRUE(run.AllOk());
-    return RenderScaleJson(run.results, /*seed=*/7, /*include_timing=*/false);
+    return RenderScaleJson(run.results, /*seed=*/7);
   };
   const std::string jobs1 = run_cells(1);
   EXPECT_FALSE(jobs1.empty());
@@ -193,7 +193,7 @@ TEST(FederationTest, FaultFreeOutputsCarryNoFaultBlock) {
   std::vector<ScaleCell> cells(1);
   cells[0].config = TinyConfig();
   cells[0].run = run;
-  const std::string json = RenderScaleJson(cells, 7, /*include_timing=*/false);
+  const std::string json = RenderScaleJson(cells, 7);
   EXPECT_EQ(json.find("failure_model"), std::string::npos);
 }
 

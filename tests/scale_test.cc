@@ -71,8 +71,8 @@ TEST(ScaleTest, GoldenDigestBitIdenticalAcrossShardCounts) {
 
 TEST(ScaleTest, JsonBitIdenticalAcrossShardAndJobCounts) {
   // The bench path: one sweep cell per shard count, fanned out through the
-  // supervised matrix — the ELSC_BENCH_JOBS axis. The rendered JSON (timing
-  // block off) must be byte-identical at any job count.
+  // supervised matrix — the ELSC_BENCH_JOBS axis. The rendered JSON must be
+  // byte-identical at any job count.
   const std::vector<int> shard_counts = {1, 2, 4};
   auto run_cells = [&](int jobs) {
     SupervisorOptions options;  // Defaults: no watchdog, no journal.
@@ -86,7 +86,7 @@ TEST(ScaleTest, JsonBitIdenticalAcrossShardAndJobCounts) {
         },
         CellCodec<ScaleCell>{}, jobs);
     EXPECT_TRUE(run.AllOk());
-    return RenderScaleJson(run.results, /*seed=*/7, /*include_timing=*/false);
+    return RenderScaleJson(run.results, /*seed=*/7);
   };
   const std::string jobs1 = run_cells(1);
   EXPECT_FALSE(jobs1.empty());
