@@ -8,17 +8,20 @@
 //    the quantity the paper's Figure 5 reports.
 //
 // The stock scheduler's Schedule() is O(queue depth); ELSC's is bounded by
-// its search limit; the heap's is O(log n). BM_EventQueueChurn measures the
-// discrete-event engine's own hot path underneath all of them.
+// its search limit; the heap's is O(log n). BM_EventQueueChurn and
+// BM_EventQueueMachineMix measure the discrete-event engine's own hot path
+// underneath all of them.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "src/base/arena.h"
 #include "src/base/bitmap.h"
 #include "src/base/rng.h"
+#include "src/base/time_units.h"
 #include "src/kernel/task.h"
 #include "src/sched/cost_model.h"
 #include "src/sched/factory.h"
@@ -308,11 +311,70 @@ void BM_EventQueueChurn(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(stats.callback_heap_allocs));
 }
 
+// ---------------------------------------------------------------------------
+// Event-queue mix shaped from perfbench's Machine workloads: a shallow
+// (Arg 5: volano_reg_4p, federation_elsc) or deep (Arg 125: webserver_o1_4p)
+// queue of pending events, where nearly every event fires and about one in a
+// hundred is cancelled first (a preempted segment, as in
+// Machine::StopSegment). Each fired event schedules its successor with a
+// delay clustered like the Machine's: zero-delay and pick-cost handoffs,
+// segment ends, sleeps and timer ticks. Items are queue operations
+// (scheduled + fired + cancelled).
+// ---------------------------------------------------------------------------
+
+void BM_EventQueueMachineMix(benchmark::State& state) {
+  const auto depth = static_cast<size_t>(state.range(0));
+  EventQueue queue;
+  Rng rng(42);
+  uint64_t fired = 0;
+  volatile uint64_t sink = 0;  // Keeps callbacks from folding away.
+  Cycles now = 0;
+  auto next_delay = [&rng]() -> Cycles {
+    const uint64_t kind = rng.NextBelow(100);
+    if (kind < 30) {
+      return rng.NextBelow(2000);  // Handoff or schedule() pick cost.
+    }
+    if (kind < 80) {
+      return 20000 + rng.NextBelow(400000);  // Segment end.
+    }
+    if (kind < 95) {
+      return MsToCycles(1 + rng.NextBelow(20));  // Sleep.
+    }
+    return kTickCycles;
+  };
+  auto schedule = [&](Cycles when) {
+    // Capture shaped like the Machine's segment-end event: ~32 bytes.
+    const uint64_t cpu_id = fired & 3;
+    return queue.Schedule(when, [&fired, &sink, cpu_id, when] {
+      ++fired;
+      sink = fired + cpu_id + when;
+    });
+  };
+  EventId last = 0;
+  for (size_t i = 0; i < depth; ++i) {
+    last = schedule(next_delay());
+  }
+  for (auto _ : state) {
+    if (rng.NextBelow(100) == 0 && queue.Cancel(last)) {
+      last = schedule(now + next_delay());  // The preempted task's next segment.
+    }
+    EventQueue::Fired event = queue.PopNext();
+    now = event.when;
+    event.fn();
+    last = schedule(now + next_delay());
+  }
+  const EventQueueStats& stats = queue.stats();
+  state.SetItemsProcessed(static_cast<int64_t>(stats.scheduled + stats.fired + stats.cancelled));
+  state.counters["cancels_per_event"] = benchmark::Counter(
+      static_cast<double>(stats.cancelled) / static_cast<double>(std::max<uint64_t>(1, stats.fired)));
+}
+
 BENCHMARK(BM_TableSearchLinear)->RangeMultiplier(2)->Range(16, 256);
 BENCHMARK(BM_TableSearchBitmap)->RangeMultiplier(2)->Range(16, 256);
 BENCHMARK(BM_TaskAllocHeap);
 BENCHMARK(BM_TaskAllocArena);
 BENCHMARK(BM_EventQueueChurn);
+BENCHMARK(BM_EventQueueMachineMix)->Arg(5)->Arg(125);
 
 BENCHMARK_CAPTURE(BM_Schedule, linux, SchedulerKind::kLinux)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_Schedule, elsc, SchedulerKind::kElsc)->RangeMultiplier(4)->Range(8, 2048);

@@ -99,7 +99,7 @@ echo "=== committed references (default sweeps must reproduce bench/baselines/) 
 
 echo "=== micro_sched_ops (table search + task alloc + event queue + schedule/add-del + o1 pick) ==="
 ./build/bench/micro_sched_ops --benchmark_min_time=0.05 2>/dev/null |
-  grep -E "BM_TableSearch|BM_TaskAlloc|BM_EventQueueChurn|BM_Schedule|BM_GoodnessScanPick|BM_O1BitmapPick" || true
+  grep -E "BM_TableSearch|BM_TaskAlloc|BM_EventQueueChurn|BM_EventQueueMachineMix|BM_Schedule|BM_GoodnessScanPick|BM_O1BitmapPick" || true
 
 echo "=== perfbench (one short run per workload; must be correct, speed printed only) ==="
 # run.py exits 0 on a wrong digest too, so the verdict is read from the JSON

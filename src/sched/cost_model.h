@@ -11,6 +11,7 @@
 #ifndef SRC_SCHED_COST_MODEL_H_
 #define SRC_SCHED_COST_MODEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -106,6 +107,14 @@ class CostMeter {
   uint64_t recalc_entries() const { return recalc_entries_; }
   uint64_t recalc_tasks() const { return recalc_tasks_; }
   const std::vector<int>& remote_locks() const { return remote_locks_; }
+  // Sorts the recorded CPUs into the double-lock order (ascending index,
+  // each once), in place, and returns them.
+  const std::vector<int>& SortRemoteLocks() {
+    std::sort(remote_locks_.begin(), remote_locks_.end());
+    remote_locks_.erase(std::unique(remote_locks_.begin(), remote_locks_.end()),
+                        remote_locks_.end());
+    return remote_locks_;
+  }
 
  private:
   const CostModel* model_;

@@ -21,18 +21,21 @@ class Engine {
  public:
   Cycles Now() const { return now_; }
 
-  // Schedules `fn` to run `delay` cycles from now. Callbacks are stored in
-  // the small-buffer EventCallback type; lambdas with modest captures (and
-  // std::function values) convert implicitly and allocate nothing.
-  // Inline (with Step below) so the per-event path inlines across TUs.
-  EventId ScheduleAfter(Cycles delay, EventCallback fn) {
-    return queue_.Schedule(now_ + delay, std::move(fn));
+  // Schedules `fn` to run `delay` cycles from now. `fn` is built directly
+  // in its queue slot's small-buffer EventCallback; lambdas with modest
+  // captures (and std::function values) are stored inline and allocate
+  // nothing. Inline (with Step below) so the per-event path inlines across
+  // TUs.
+  template <typename F>
+  EventId ScheduleAfter(Cycles delay, F&& fn) {
+    return queue_.Schedule(now_ + delay, std::forward<F>(fn));
   }
 
   // Schedules `fn` at absolute time `when`; `when` must be >= Now().
-  EventId ScheduleAt(Cycles when, EventCallback fn) {
+  template <typename F>
+  EventId ScheduleAt(Cycles when, F&& fn) {
     ELSC_CHECK_MSG(when >= now_, "event scheduled in the past");
-    return queue_.Schedule(when, std::move(fn));
+    return queue_.Schedule(when, std::forward<F>(fn));
   }
 
   bool Cancel(EventId id) { return queue_.Cancel(id); }

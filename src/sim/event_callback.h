@@ -33,15 +33,7 @@ class EventCallback {
                 !std::is_same_v<std::decay_t<F>, EventCallback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventCallback(F&& f) {  // NOLINT(google-explicit-constructor)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &InlineOps<Fn>::kOps;
-    } else {
-      *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
-      ops_ = &HeapOps<Fn>::kOps;
-    }
+    Emplace(std::forward<F>(f));
   }
 
   EventCallback(EventCallback&& other) noexcept : ops_(other.ops_) {
@@ -70,6 +62,29 @@ class EventCallback {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
+  // Replaces the held callable with `f`, constructed directly in this
+  // object's storage. The EventQueue builds each event's callback in its
+  // slot this way, with no temporary EventCallback to move from. Passing an
+  // EventCallback moves it in.
+  template <typename F>
+  void Emplace(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (std::is_same_v<Fn, EventCallback>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(std::is_invocable_r_v<void, Fn&>, "event callbacks take no arguments");
+      Reset();
+      if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
+                    std::is_nothrow_move_constructible_v<Fn>) {
+        ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+        ops_ = &InlineOps<Fn>::kOps;
+      } else {
+        *reinterpret_cast<Fn**>(storage_) = new Fn(std::forward<F>(f));
+        ops_ = &HeapOps<Fn>::kOps;
+      }
+    }
+  }
+
   // True when the callable did not fit the inline buffer.
   bool heap_allocated() const { return ops_ != nullptr && ops_->heap; }
 
@@ -82,10 +97,10 @@ class EventCallback {
     bool heap;
     // Trivially-copyable inline callables (almost every closure the Machine
     // schedules: captures of pointers and integers only) relocate by plain
-    // memcpy and need no destructor call. Each event is scheduled, moved into
-    // its queue slot, moved back out, fired, and destroyed — skipping the
-    // indirect relocate/destroy calls on that round trip is a measurable
-    // share of the simulator's host time.
+    // memcpy and need no destructor call. Each event is built in its queue
+    // slot, moved out when it fires, and destroyed — skipping the indirect
+    // relocate/destroy calls on that path is a measurable share of the
+    // simulator's host time.
     bool trivial;
   };
 

@@ -7,25 +7,33 @@
 
 namespace elsc {
 
-Machine::Machine(const MachineConfig& config)
-    : config_(config), rng_(config.seed) {
-  ELSC_CHECK(config_.num_cpus >= 1);
-  ELSC_CHECK_MSG(config_.smp || config_.num_cpus == 1, "UP build requires exactly one CPU");
-  SchedulerConfig sched_config{config_.num_cpus, config_.smp};
-  if (config_.scheduler_factory) {
-    scheduler_ = config_.scheduler_factory(config_.cost_model, &task_list_, sched_config);
-    ELSC_CHECK_MSG(scheduler_ != nullptr, "scheduler_factory returned null");
-  } else {
-    scheduler_ = MakeScheduler(config_.scheduler, config_.cost_model, &task_list_, sched_config,
-                               config_.elsc);
+namespace {
+
+std::unique_ptr<Scheduler> BuildScheduler(const MachineConfig& config, TaskList* tasks) {
+  ELSC_CHECK(config.num_cpus >= 1);
+  ELSC_CHECK_MSG(config.smp || config.num_cpus == 1, "UP build requires exactly one CPU");
+  SchedulerConfig sched_config{config.num_cpus, config.smp};
+  if (config.scheduler_factory) {
+    std::unique_ptr<Scheduler> scheduler =
+        config.scheduler_factory(config.cost_model, tasks, sched_config);
+    ELSC_CHECK_MSG(scheduler != nullptr, "scheduler_factory returned null");
+    return scheduler;
   }
-  cpus_.reserve(static_cast<size_t>(config_.num_cpus));
+  return MakeScheduler(config.scheduler, config.cost_model, tasks, sched_config, config.elsc);
+}
+
+}  // namespace
+
+Machine::Machine(const MachineConfig& config)
+    : config_(config),
+      rng_(config.seed),
+      scheduler_(BuildScheduler(config_, &task_list_)),
+      global_lock_(scheduler_->uses_global_lock()),
+      cpus_(static_cast<size_t>(config_.num_cpus)) {
   cpu_locks_.resize(static_cast<size_t>(config_.num_cpus));
   idle_cpus_.Reset(config_.num_cpus);
   for (int i = 0; i < config_.num_cpus; ++i) {
-    auto cpu = std::make_unique<Cpu>();
-    cpu->id = i;
-    cpus_.push_back(std::move(cpu));
+    cpus_[static_cast<size_t>(i)].id = i;
     idle_cpus_.Set(i);  // Fresh CPUs are idle and available.
   }
 }
@@ -81,7 +89,7 @@ void Machine::Start() {
   started_ = true;
   engine_.ScheduleAfter(kTickCycles, [this] { OnTimerTick(); });
   for (int i = 0; i < num_cpus(); ++i) {
-    Cpu& c = *cpus_[static_cast<size_t>(i)];
+    Cpu& c = cpus_[static_cast<size_t>(i)];
     if (c.current == nullptr && !c.schedule_pending) {
       RequestSchedule(i);
     }
@@ -104,7 +112,7 @@ bool Machine::RunUntilAllExited(Cycles deadline) {
 // ---------------------------------------------------------------------------
 
 void Machine::RequestSchedule(int cpu_id) {
-  Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   if (c.stalled) {
     c.need_resched = true;  // Re-examined when the CPU rejoins.
     return;
@@ -116,7 +124,7 @@ void Machine::RequestSchedule(int cpu_id) {
   c.schedule_pending = true;
   UpdateIdleMask(cpu_id);
   c.schedule_requested_at = Now();
-  if (!scheduler_->uses_global_lock()) {
+  if (!global_lock_) {
     // Per-CPU-queue schedulers serialize on their own CPU's run-queue lock
     // instead of the global runqueue_lock.
     AcquireCpuLock(cpu_id);
@@ -151,7 +159,7 @@ void Machine::TryGrantLock() {
 }
 
 void Machine::DoSchedule(int cpu_id) {
-  Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   Task* prev = c.current;
 
   // Time spent spinning on the run-queue lock before the pick could begin.
@@ -176,14 +184,14 @@ void Machine::DoSchedule(int cpu_id) {
   }
 
   Cycles pick_cost = meter.cycles();
-  if (pending_lock_stall_ > 0 && scheduler_->uses_global_lock()) {
+  if (pending_lock_stall_ > 0 && global_lock_) {
     // Lock-holder preemption spike: this pick holds the run-queue lock
     // longer, so every waiter behind it eats the delay too.
     pick_cost += pending_lock_stall_;
     stats_.lock_stall_cycles += pending_lock_stall_;
     pending_lock_stall_ = 0;
   }
-  if (!scheduler_->uses_global_lock()) {
+  if (!global_lock_) {
     SchedStats& ss = scheduler_->mutable_stats();
     CpuLockStats& own = cpu_locks_[static_cast<size_t>(cpu_id)];
     ++own.acquisitions;
@@ -197,9 +205,7 @@ void Machine::DoSchedule(int cpu_id) {
     // by an in-flight pick, this pick spins for the residue — the wait is
     // serial with the pick, so it lands in pick_cost.
     if (!meter.remote_locks().empty()) {
-      std::vector<int> remotes = meter.remote_locks();
-      std::sort(remotes.begin(), remotes.end());
-      remotes.erase(std::unique(remotes.begin(), remotes.end()), remotes.end());
+      const std::vector<int>& remotes = meter.SortRemoteLocks();
       Cycles remote_wait = 0;
       for (int r : remotes) {
         ELSC_CHECK(r >= 0 && r < num_cpus() && r != cpu_id);
@@ -241,10 +247,9 @@ void Machine::DoSchedule(int cpu_id) {
 }
 
 void Machine::FinishSchedule(int cpu_id, Task* next, Cycles pick_cost) {
-  Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   c.stats.sched_cycles += pick_cost;
-  const bool global_lock = scheduler_->uses_global_lock();
-  if (global_lock) {
+  if (global_lock_) {
     lock_held_ = false;
   }
   c.schedule_pending = false;
@@ -257,13 +262,13 @@ void Machine::FinishSchedule(int cpu_id, Task* next, Cycles pick_cost) {
     c.need_resched = false;
     RequestSchedule(cpu_id);
   }
-  if (global_lock) {
+  if (global_lock_) {
     TryGrantLock();
   }
 }
 
 void Machine::Dispatch(int cpu_id, Task* next) {
-  Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   Task* prev = c.current;
 
   if (prev != nullptr && prev == next) {
@@ -350,7 +355,7 @@ Segment Machine::FetchSegment(Task* task) {
 }
 
 void Machine::InstallSegment(int cpu_id, Cycles overhead) {
-  Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   if (c.stalled) {
     return;  // Parked; ResumeCpu() re-installs the segment at rejoin.
   }
@@ -383,7 +388,7 @@ void Machine::InstallSegment(int cpu_id, Cycles overhead) {
 }
 
 void Machine::StopSegment(int cpu_id) {
-  Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   if (c.segment_event == 0) {
     return;
   }
@@ -403,7 +408,7 @@ void Machine::StopSegment(int cpu_id) {
 }
 
 void Machine::OnSegmentEnd(int cpu_id, uint64_t generation) {
-  Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   if (generation != c.dispatch_generation || c.segment_event == 0) {
     return;  // Stale event (the segment was preempted/cancelled).
   }
@@ -524,7 +529,7 @@ void Machine::ExitTask(int cpu_id, Task* task) {
 // ---------------------------------------------------------------------------
 
 void Machine::PreemptCpu(int cpu_id) {
-  Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   if (c.stalled) {
     c.need_resched = true;  // Honored when the CPU rejoins.
     return;
@@ -549,7 +554,7 @@ void Machine::PreemptCpu(int cpu_id) {
 
 void Machine::RescheduleIdle(Task* woken) {
   if (!config_.smp) {
-    Cpu& c = *cpus_[0];
+    Cpu& c = cpus_[0];
     if (c.stalled) {
       c.need_resched = true;
       return;
@@ -582,8 +587,8 @@ void Machine::RescheduleIdle(Task* woken) {
     RequestSchedule(woken->processor);
     return;
   }
-  if (!scheduler_->uses_global_lock()) {
-    Cpu& home = *cpus_[static_cast<size_t>(woken->processor)];
+  if (!global_lock_) {
+    Cpu& home = cpus_[static_cast<size_t>(woken->processor)];
     if (home.schedule_pending) {
       // Per-CPU queues anchor this wake to the home CPU's run queue, and the
       // pick in flight there predates the enqueue. Under the global lock any
@@ -605,14 +610,14 @@ void Machine::RescheduleIdle(Task* woken) {
     // Stalled CPUs are unavailable for preemption; if every CPU is stalled
     // or mid-schedule(), the all_pending fallback below parks the wake on
     // the home CPU's need_resched, honored at rejoin.
-    if (cpu->stalled || cpu->schedule_pending || cpu->current == nullptr) {
+    if (cpu.stalled || cpu.schedule_pending || cpu.current == nullptr) {
       continue;
     }
     all_pending = false;
-    const long delta = scheduler_->PreemptionDelta(*woken, *cpu->current, cpu->id);
+    const long delta = scheduler_->PreemptionDelta(*woken, *cpu.current, cpu.id);
     if (delta > best_delta) {
       best_delta = delta;
-      best_cpu = cpu->id;
+      best_cpu = cpu.id;
     }
   }
   if (best_cpu >= 0) {
@@ -625,7 +630,7 @@ void Machine::RescheduleIdle(Task* woken) {
     // Every CPU is mid-schedule(): their picks predate this wakeup. Make the
     // woken task's home CPU re-run schedule() once its pick lands, so the
     // wake is never silently dropped.
-    cpus_[static_cast<size_t>(woken->processor)]->need_resched = true;
+    cpus_[static_cast<size_t>(woken->processor)].need_resched = true;
   }
 }
 
@@ -734,10 +739,10 @@ void Machine::OnTimerTick() {
     }
   }
   for (auto& cpu : cpus_) {
-    if (cpu->stalled) {
+    if (cpu.stalled) {
       continue;  // A stalled CPU takes no ticks.
     }
-    Task* task = cpu->current;
+    Task* task = cpu.current;
     if (task == nullptr) {
       continue;
     }
@@ -745,7 +750,7 @@ void Machine::OnTimerTick() {
     // executing its previous task; charging the tick to it would mutate a
     // counter while the task may already sit in a sorted run-queue
     // structure, corrupting the ELSC table's ordering invariants.
-    if (cpu->schedule_pending) {
+    if (cpu.schedule_pending) {
       continue;
     }
     // SCHED_FIFO tasks run until they block or yield; everyone else burns
@@ -756,7 +761,7 @@ void Machine::OnTimerTick() {
       }
       if (task->counter == 0) {
         ++stats_.quantum_expiries;
-        PreemptCpu(cpu->id);
+        PreemptCpu(cpu.id);
       }
     }
   }
@@ -775,7 +780,7 @@ void Machine::RearmTimer() {
 
 void Machine::StallCpu(int cpu_id, Cycles duration) {
   ELSC_CHECK(cpu_id >= 0 && cpu_id < num_cpus());
-  Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   if (c.stalled || duration == 0) {
     return;
   }
@@ -789,7 +794,7 @@ void Machine::StallCpu(int cpu_id, Cycles duration) {
 }
 
 void Machine::ResumeCpu(int cpu_id) {
-  Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   c.stalled = false;
   UpdateIdleMask(cpu_id);
   if (c.schedule_pending) {
@@ -809,7 +814,7 @@ void Machine::ResumeCpu(int cpu_id) {
 }
 
 void Machine::UpdateIdleMask(int cpu_id) {
-  const Cpu& c = *cpus_[static_cast<size_t>(cpu_id)];
+  const Cpu& c = cpus_[static_cast<size_t>(cpu_id)];
   idle_cpus_.Assign(cpu_id, c.current == nullptr && !c.schedule_pending && !c.stalled);
 }
 
@@ -836,7 +841,7 @@ void Machine::CheckInvariantsIfEnabled() {
   if (config_.check_invariants) {
     scheduler_->CheckInvariants();
     for (int i = 0; i < num_cpus(); ++i) {
-      const Cpu& c = *cpus_[static_cast<size_t>(i)];
+      const Cpu& c = cpus_[static_cast<size_t>(i)];
       ELSC_VERIFY_MSG(idle_cpus_.Test(i) ==
                           (c.current == nullptr && !c.schedule_pending && !c.stalled),
                       "idle-CPU mask disagrees with per-CPU state");

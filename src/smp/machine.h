@@ -162,8 +162,8 @@ class Machine : public Waker {
   Rng& rng() { return rng_; }
   MachineStats& stats() { return stats_; }
   const MachineStats& stats() const { return stats_; }
-  Cpu& cpu(int index) { return *cpus_[static_cast<size_t>(index)]; }
-  const Cpu& cpu(int index) const { return *cpus_[static_cast<size_t>(index)]; }
+  Cpu& cpu(int index) { return cpus_[static_cast<size_t>(index)]; }
+  const Cpu& cpu(int index) const { return cpus_[static_cast<size_t>(index)]; }
   int num_cpus() const { return config_.num_cpus; }
   size_t live_tasks() const { return live_tasks_; }
   // Per-CPU run-queue lock accounting (all-zero for global-lock schedulers).
@@ -265,15 +265,19 @@ class Machine : public Waker {
   SlabArena<Task> task_arena_;
   std::vector<Task*> tasks_;
   std::unique_ptr<Scheduler> scheduler_;
-  std::vector<std::unique_ptr<Cpu>> cpus_;
+  // scheduler_->uses_global_lock(), a per-backend constant read once here
+  // instead of by a virtual call on every schedule().
+  const bool global_lock_;
+  // Sized once at construction; never grows.
+  std::vector<Cpu> cpus_;
   MachineStats stats_;
 
   // Global run-queue lock model: one holder at a time, FIFO waiters.
-  // Engaged only when scheduler_->uses_global_lock().
+  // Engaged only when global_lock_.
   bool lock_held_ = false;
   std::deque<int> lock_waiters_;
   // Per-CPU run-queue lock model (the complementary path): one entry per
-  // CPU; engaged only when !scheduler_->uses_global_lock().
+  // CPU; engaged only when !global_lock_.
   std::vector<CpuLockStats> cpu_locks_;
 
   // Pending injected faults (consumed by the timer / schedule paths).
