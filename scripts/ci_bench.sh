@@ -36,25 +36,28 @@ echo "=== overload_sweep smoke (short sweep; JSON must be job-count invariant) =
   echo "overload JSON identical at jobs 1 vs 4")
 
 echo "=== scale_sweep smoke (sharded mode; JSON must be shard- and job-count invariant) ==="
-# A tiny federation run three ways: shards 1 vs 4, and harness jobs 1 vs 4.
-# The JSON is pure simulated data, so all three files must be
-# byte-identical (the sharded mode's determinism contract; the binary
-# additionally digest-checks every shard count in-process).
+# A tiny federation run four ways: shards 1 vs 3 vs 4, and harness jobs 1
+# vs 4. The JSON is pure simulated data, so all four files must be
+# byte-identical (the sharded mode's determinism contract; 3 shards divide
+# no node count; the binary additionally digest-checks every shard count
+# in-process).
 scale_env="ELSC_SCALE_ROOMS=8 ELSC_SCALE_USERS=4 ELSC_SCALE_MSGS=4 ELSC_SCALE_SCHEDS=elsc"
 (cd build &&
   env ${scale_env} ELSC_SCALE_SHARDS=1 ELSC_BENCH_JOBS=1 ./bench/scale_sweep >/dev/null &&
   mv BENCH_scale.json BENCH_scale.shards1.json &&
+  env ${scale_env} ELSC_SCALE_SHARDS=3 ELSC_BENCH_JOBS=1 ./bench/scale_sweep >/dev/null &&
+  cmp BENCH_scale.shards1.json BENCH_scale.json &&
   env ${scale_env} ELSC_SCALE_SHARDS=4 ELSC_BENCH_JOBS=1 ./bench/scale_sweep >/dev/null &&
   cmp BENCH_scale.shards1.json BENCH_scale.json &&
   mv BENCH_scale.json BENCH_scale.jobs1.json &&
   env ${scale_env} ELSC_SCALE_SHARDS=4 ELSC_BENCH_JOBS=4 ./bench/scale_sweep >/dev/null &&
   cmp BENCH_scale.jobs1.json BENCH_scale.json &&
-  echo "scale JSON identical at shards 1 vs 4 and jobs 1 vs 4")
+  echo "scale JSON identical at shards 1 vs 3 vs 4 and jobs 1 vs 4")
 
 echo "=== federation_chaos smoke (failure model; JSON must be shard- and job-count invariant) ==="
-# A tiny chaos-armed federation (crashes + loss + retransmission) run three
-# ways: shards 1 vs 4, and harness jobs 1 vs 4. Chaos is seeded config, so
-# all three JSON files must be byte-identical; the binary additionally
+# A tiny chaos-armed federation (crashes + loss + retransmission) run four
+# ways: shards 1 vs 3 vs 4, and harness jobs 1 vs 4. Chaos is seeded config,
+# so all four JSON files must be byte-identical; the binary additionally
 # digest-checks every shard count and asserts the
 # retransmit column never loses more deliveries than its no-retransmit
 # control in-process.
@@ -62,12 +65,14 @@ fed_env="ELSC_FED_ROOMS=4 ELSC_FED_USERS=4 ELSC_FED_MSGS=8 ELSC_FED_CRASH=0,100 
 (cd build &&
   env ${fed_env} ELSC_FED_SHARDS=1 ELSC_BENCH_JOBS=1 ./bench/federation_chaos >/dev/null &&
   mv BENCH_federation_chaos.json BENCH_federation_chaos.shards1.json &&
+  env ${fed_env} ELSC_FED_SHARDS=3 ELSC_BENCH_JOBS=1 ./bench/federation_chaos >/dev/null &&
+  cmp BENCH_federation_chaos.shards1.json BENCH_federation_chaos.json &&
   env ${fed_env} ELSC_FED_SHARDS=4 ELSC_BENCH_JOBS=1 ./bench/federation_chaos >/dev/null &&
   cmp BENCH_federation_chaos.shards1.json BENCH_federation_chaos.json &&
   mv BENCH_federation_chaos.json BENCH_federation_chaos.jobs1.json &&
   env ${fed_env} ELSC_FED_SHARDS=4 ELSC_BENCH_JOBS=4 ./bench/federation_chaos >/dev/null &&
   cmp BENCH_federation_chaos.jobs1.json BENCH_federation_chaos.json &&
-  echo "federation chaos JSON identical at shards 1 vs 4 and jobs 1 vs 4")
+  echo "federation chaos JSON identical at shards 1 vs 3 vs 4 and jobs 1 vs 4")
 
 echo "=== o1_scaling smoke (per-CPU lock model; JSON must be job-count invariant) ==="
 # A reduced CPU sweep run at harness jobs 1 vs 4. The JSON is pure simulated

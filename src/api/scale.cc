@@ -1,6 +1,7 @@
 #include "src/api/scale.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -537,7 +538,7 @@ class Federation {
   const double wall_budget_;
   FabricRouter router_;
   std::vector<std::unique_ptr<ScaleNode>> nodes_;  // Null = folded.
-  std::unique_ptr<ThreadPool> pool_;  // Null when shards_ == 1.
+  std::unique_ptr<ThreadPool> pool_;  // shards_ - 1 workers; null at 1.
   ScaleRun run_;
   FedLoopState loop_;
   int live_ = 0;
@@ -713,7 +714,7 @@ bool Federation::ReplayNode(ScaleNode* node, const CkptNode& cn) {
 // no shard running) applies the barrier's phases in a fixed order.
 ScaleRun Federation::Run() {
   if (shards_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(shards_);
+    pool_ = std::make_unique<ThreadPool>(shards_ - 1);
   }
   while (live_ > 0) {
     ++loop_.window_index;
@@ -757,33 +758,52 @@ ScaleRun Federation::Run() {
   return run_;
 }
 
-// Advances every live node to the barrier. Node->shard assignment is
-// round-robin by node index; any assignment yields identical results (nodes
-// only interact through the fabric, drained at the barrier). Each shard
-// (the calling thread when shards_ == 1) arms a per-window wall-clock
-// watchdog: false means a livelocked node tripped it.
+// Advances every live node to the barrier. The coordinator and the pool's
+// shards_ - 1 workers each take the next node index from one shared cursor
+// until it passes the end, so a busy or late-waking thread simply claims
+// fewer nodes. Any assignment yields identical results: nodes only interact
+// through the fabric, drained at the barrier. Every claiming thread arms a
+// per-window wall-clock watchdog: false means a livelocked node tripped it.
 bool Federation::StepWindow(Cycles barrier) {
-  const auto advance_shard = [this, barrier](int shard) {
+  const size_t end = nodes_.size();
+  std::atomic<size_t> cursor{0};
+  const auto claim_nodes = [this, barrier, end, &cursor] {
     std::optional<CellWatchdog> dog;
     if (wall_budget_ > 0.0) {
       dog.emplace(wall_budget_);
     }
-    for (size_t n = static_cast<size_t>(shard); n < nodes_.size();
-         n += static_cast<size_t>(shards_)) {
-      ScaleNode* node = nodes_[n].get();
-      if (node != nullptr && !node->down) {
-        node->machine->engine().RunUntil(barrier - node->life.clock_offset);
+    try {
+      for (size_t n = cursor.fetch_add(1, std::memory_order_relaxed); n < end;
+           n = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        ScaleNode* node = nodes_[n].get();
+        if (node != nullptr && !node->down) {
+          node->machine->engine().RunUntil(barrier - node->life.clock_offset);
+        }
       }
+    } catch (...) {
+      cursor.store(end, std::memory_order_relaxed);  // No further claims.
+      throw;
     }
   };
   try {
-    if (pool_ == nullptr) {
-      advance_shard(0);
-    } else {
-      for (int s = 0; s < shards_; ++s) {
-        pool_->Submit([&advance_shard, s] { advance_shard(s); });
+    for (int w = 1; w < shards_; ++w) {
+      pool_->Submit([&claim_nodes] { claim_nodes(); });
+    }
+    try {
+      claim_nodes();
+    } catch (...) {
+      // The cursor and claim_nodes live on this frame, so the workers must
+      // be done before it unwinds. This thread's exception wins over theirs.
+      if (pool_ != nullptr) {
+        try {
+          pool_->Wait();
+        } catch (...) {
+        }
       }
-      pool_->Wait();  // Rethrows the first shard exception, if any.
+      throw;
+    }
+    if (pool_ != nullptr) {
+      pool_->Wait();  // Rethrows the first worker exception, if any.
     }
   } catch (const CellDeadlineExceeded&) {
     if (wall_budget_ <= 0.0) {

@@ -2,9 +2,12 @@
 //
 // Workers consume a FIFO of jobs; Wait() blocks until the queue is drained
 // and every worker is idle, so one pool can serve several fan-out rounds.
-// The pool is deliberately minimal: simulation cells are coarse (tens of
-// milliseconds to minutes each), so queue contention is irrelevant and
-// simplicity wins over lock-free cleverness.
+// The pool is deliberately minimal: its jobs are few and coarse. Matrix
+// cells run tens of milliseconds to minutes each; the sharded federation
+// submits one job per worker per lock-step window (~5-25 ms) and its
+// submitting thread claims work alongside the pool until Wait(). Either
+// way queue contention is irrelevant and simplicity wins over lock-free
+// cleverness.
 //
 // An exception escaping a job does not unwind into the worker thread (which
 // would std::terminate the process): the first one per fan-out round is

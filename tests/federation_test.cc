@@ -3,20 +3,25 @@
 // crash/restart, lossy fabric, and the ack/retransmit recovery protocol.
 //
 // The load-bearing claims: (1) a chaos-armed run is exactly as deterministic
-// as a fault-free one — bit-identical digests at shard counts 1/2/4 and
+// as a fault-free one — bit-identical digests at shard counts 1/2/3/4 and
 // byte-identical JSON at ELSC_BENCH_JOBS 1/2/4; (2) the recovery protocol
 // has teeth — under crash + loss, retransmission strictly reduces
 // deliveries_lost versus the no-retransmit control; (3) crashes conserve
 // chat work — banked finished rooms plus re-run rooms add up to exactly the
 // scenario's expected deliveries; (4) fault-free outputs carry no fault
 // block at all (the byte-stability half of the contract lives in
-// scale_test.cc's goldens, which must not change).
+// scale_test.cc's goldens, which must not change); (5) which thread claims
+// which node never shows — 3 shards, and more shards than live nodes,
+// match 1 shard, and a window watchdog trip folds the same failure
+// whichever claiming thread it lands on.
 
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/api/scale.h"
+#include "src/api/scale_ckpt.h"
+#include "src/base/atomic_file.h"
 #include "src/harness/supervisor.h"
 
 namespace elsc {
@@ -107,11 +112,59 @@ TEST(FederationTest, ChaosArmedDigestBitIdenticalAcrossShardCounts) {
   const ScaleRun one = RunShardedVolano(config, 1);
   ASSERT_TRUE(one.completed);
   const std::string golden = ScaleRunSignature(one);
-  for (const int shards : {2, 4}) {
+  for (const int shards : {2, 3, 4}) {
     const ScaleRun run = RunShardedVolano(config, shards);
     EXPECT_EQ(run.digest, one.digest) << "shards=" << shards;
     EXPECT_EQ(ScaleRunSignature(run), golden) << "shards=" << shards;
   }
+}
+
+// Shards claim nodes from a shared cursor, so no shard count may matter,
+// including 3, which divides neither this run's 8 nodes nor the chaos
+// config's 4 (covered above).
+TEST(FederationTest, FaultFreeDigestBitIdenticalAtThreeShards) {
+  ScaleConfig config = TinyConfig();
+  config.rooms = 8;
+  const ScaleRun one = RunShardedVolano(config, 1);
+  ASSERT_TRUE(one.completed);
+  const ScaleRun three = RunShardedVolano(config, 3);
+  EXPECT_EQ(three.shards, 3);
+  EXPECT_EQ(ScaleRunSignature(three), ScaleRunSignature(one));
+}
+
+// More shards than live nodes: with gossip off each node folds as soon as
+// its own chat drains, so the last two windows of this 12-node run have
+// fewer live nodes than its 8 shards (a segment forced two windows before
+// the end proves it), and some claiming threads find no node to advance.
+TEST(FederationTest, MoreShardsThanLiveNodesMatchOneShard) {
+  ScaleConfig config = TinyConfig();
+  config.rooms = 12;
+  config.chat.messages_per_user = 16;
+  config.window = MsToCycles(2);  // Short windows spread the node folds.
+  config.gossip_period = 0;
+  const ScaleRun one = RunShardedVolano(config, 1);
+  ASSERT_TRUE(one.completed);
+  ASSERT_GT(one.windows, 2u);
+  const ScaleRun eight = RunShardedVolano(config, 8);
+  EXPECT_EQ(eight.shards, 8);
+  EXPECT_EQ(ScaleRunSignature(eight), ScaleRunSignature(one));
+
+  ScaleConfig probe = config;
+  probe.ckpt.path = ::testing::TempDir() + "/elsc_fed_live_probe";
+  probe.ckpt.every = 0;  // Forced-only: exactly one segment.
+  probe.ckpt.stop_after_window = one.windows - 2;
+  const uint64_t fp = ScaleConfigFingerprint(probe);
+  RemoveCheckpointSegments(probe.ckpt.path, fp);
+  EXPECT_FALSE(RunShardedVolano(probe, 8).completed);
+  const auto segments = ListCheckpointSegments(probe.ckpt.path, fp);
+  ASSERT_EQ(segments.size(), 1u);
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(segments[0].path, &contents));
+  RemoveCheckpointSegments(probe.ckpt.path, fp);
+  ScaleCheckpoint last;
+  std::string error;
+  ASSERT_TRUE(DecodeScaleCheckpoint(contents, &last, &error)) << error;
+  EXPECT_LT(last.nodes.size(), 8u);
 }
 
 TEST(FederationTest, ChaosArmedJsonBitIdenticalAcrossShardAndJobCounts) {
@@ -211,23 +264,30 @@ TEST(FederationTest, WindowWatchdogFailsAStuckFederationDeterministically) {
   // fold into a completed=false result with the watchdog named as the
   // failure — not hang, not crash. Large rooms + a long window give the
   // engine enough events per window for the watchdog's rate-limited clock
-  // check (every 4096 polls) to actually look at the clock.
+  // check (every 4096 polls) to actually look at the clock. Every claiming
+  // thread arms the watchdog, so above 1 shard the trip lands on the
+  // coordinator's own claim loop, on a worker's, or on both; either way the
+  // coordinator must drain the pool and fold the same failure.
   ScaleConfig config;
-  config.rooms = 2;
+  config.rooms = 8;
   config.rooms_per_node = 2;
   config.chat.users_per_room = 8;
   config.chat.messages_per_user = 16;
   config.window = MsToCycles(200);
   config.seed = 7;
   config.window_wall_budget_sec = 1e-9;
-  const ScaleRun run = RunShardedVolano(config, 1);
-  EXPECT_FALSE(run.completed);
-  EXPECT_TRUE(run.stats.failed);
-  EXPECT_NE(run.stats.failure.find("federation watchdog"), std::string::npos)
-      << run.stats.failure;
-  EXPECT_NE(ScaleRunSignature(run).find("|failure:"), std::string::npos);
-  // Partial per-node stats were folded, not discarded.
-  EXPECT_GT(run.stats.machine.tasks_created, 0u);
+  for (const int shards : {1, 2, 4}) {
+    const ScaleRun run = RunShardedVolano(config, shards);
+    EXPECT_EQ(run.shards, shards);
+    EXPECT_FALSE(run.completed) << "shards=" << shards;
+    EXPECT_TRUE(run.stats.failed) << "shards=" << shards;
+    EXPECT_NE(run.stats.failure.find("federation watchdog"), std::string::npos)
+        << run.stats.failure;
+    EXPECT_NE(ScaleRunSignature(run).find("|failure:"), std::string::npos)
+        << "shards=" << shards;
+    // Partial per-node stats were folded, not discarded.
+    EXPECT_GT(run.stats.machine.tasks_created, 0u) << "shards=" << shards;
+  }
 }
 
 TEST(FederationTest, NegativeWindowBudgetDisablesTheWatchdog) {
