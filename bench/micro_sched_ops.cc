@@ -61,14 +61,14 @@ struct Population {
   std::vector<Task*> tasks;
 };
 
-void RunSchedule(benchmark::State& state, SchedulerKind kind, int spread) {
-  const int depth = static_cast<int>(state.range(0));
-  Population pop(kind, depth, spread);
+// Re-queues each pick so the queue depth stays constant. `prev`, when set,
+// is a blocked task off the queue whose mm decides the same-mm bonus.
+void RunSchedule(benchmark::State& state, Population& pop, Task* prev = nullptr) {
   uint64_t sim_cycles = 0;
   uint64_t calls = 0;
   for (auto _ : state) {
     CostMeter meter(pop.scheduler->cost_model());
-    Task* next = pop.scheduler->Schedule(0, nullptr, meter);
+    Task* next = pop.scheduler->Schedule(0, prev, meter);
     benchmark::DoNotOptimize(next);
     sim_cycles += meter.cycles();
     ++calls;
@@ -86,12 +86,37 @@ void RunSchedule(benchmark::State& state, SchedulerKind kind, int spread) {
       benchmark::Counter(static_cast<double>(sim_cycles) / static_cast<double>(calls));
 }
 
-void BM_Schedule(benchmark::State& state, SchedulerKind kind) { RunSchedule(state, kind, 0); }
+void BM_Schedule(benchmark::State& state, SchedulerKind kind) {
+  Population pop(kind, static_cast<int>(state.range(0)));
+  RunSchedule(state, pop);
+}
 
 // Seven unrelated tasks per queued one: at depth 2048 the queued tasks span
 // ~6 MB, so a scan that loads every task_struct pays its cache misses.
 void BM_ScheduleSpread(benchmark::State& state, SchedulerKind kind) {
-  RunSchedule(state, kind, 7);
+  Population pop(kind, static_cast<int>(state.range(0)), 7);
+  RunSchedule(state, pop);
+}
+
+// VolanoMark's pattern: every queued task has the same counter and priority
+// and shares one mm with the previous task, so the same-mm bonus applies to
+// all and half of them (those that last ran on the deciding CPU) tie at the
+// greatest goodness. The pick is decided by list order among those ties.
+void BM_ScheduleTies(benchmark::State& state, SchedulerKind kind) {
+  Population pop(kind, static_cast<int>(state.range(0)));
+  for (size_t i = 0; i < pop.tasks.size(); ++i) {
+    Task* t = pop.tasks[i];
+    pop.scheduler->DelFromRunQueue(t);
+    t->run_list.next = nullptr;
+    t->run_list.prev = nullptr;
+    t->counter = kDefaultPriority;
+    t->priority = kDefaultPriority;
+    t->processor = static_cast<int>(i % 2);
+    pop.scheduler->AddToRunQueue(t);
+  }
+  Task* prev = pop.factory.NewTask();  // Same mm as every queued task.
+  prev->state = TaskState::kInterruptible;
+  RunSchedule(state, pop, prev);
 }
 
 void BM_AddDel(benchmark::State& state, SchedulerKind kind) {
@@ -381,6 +406,7 @@ BENCHMARK_CAPTURE(BM_Schedule, elsc, SchedulerKind::kElsc)->RangeMultiplier(4)->
 BENCHMARK_CAPTURE(BM_Schedule, heap, SchedulerKind::kHeap)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_Schedule, o1, SchedulerKind::kO1)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_ScheduleSpread, linux, SchedulerKind::kLinux)->Arg(8)->Arg(128)->Arg(2048);
+BENCHMARK_CAPTURE(BM_ScheduleTies, linux, SchedulerKind::kLinux)->Arg(8)->Arg(128)->Arg(2048);
 BENCHMARK_CAPTURE(BM_AddDel, linux, SchedulerKind::kLinux)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_AddDel, elsc, SchedulerKind::kElsc)->RangeMultiplier(4)->Range(8, 2048);
 BENCHMARK_CAPTURE(BM_AddDel, heap, SchedulerKind::kHeap)->RangeMultiplier(4)->Range(8, 2048);

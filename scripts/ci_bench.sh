@@ -3,7 +3,8 @@
 # only simulated data — byte-identical across shard and job counts, and equal
 # to the committed references in bench/baselines/. Then it runs
 # micro_sched_ops and one short run of each perfbench workload, which must
-# report correct results.
+# report correct results. Last, it profiles a 1-second volano_reg_4p run
+# with the PC sampler in scripts/pcsample.c.
 #
 # Host speed is printed, never gated: single samples on shared machines are
 # too noisy. The interleaved A/B runs described in docs/PERF.md are the perf
@@ -124,4 +125,18 @@ if result["correct"] is not True or result["failed"] != 0:
     sys.exit(f"FAIL: perfbench {workload} did not report a correct run")
 PY
 done
+echo "=== pcsample (PC sampler on a 1-second volano_reg_4p pass; must record samples in perfbench) ==="
+# The profiling recipe of docs/PERF.md, run end to end: build the LD_PRELOAD
+# sampler, profile the perfbench binary that the loop above built, and
+# symbolize. Only a profile with no sample in the binary fails.
+prof_dir="build/pcsample"
+mkdir -p "${prof_dir}"
+rm -f "${prof_dir}"/pcsample.*.txt
+cc -O2 -shared -fPIC -o "${prof_dir}/pcsample.so" scripts/pcsample.c
+perfbench_bin="${PWD}/.bench_build/perfbench/perfbench_run"
+(cd "${prof_dir}" &&
+  LD_PRELOAD="${PWD}/pcsample.so" "${perfbench_bin}" --workload volano_reg_4p --seed 1 \
+    --seconds 1 --trace 0 >/dev/null)
+python3 scripts/pcsample_report.py "${perfbench_bin}" "${prof_dir}"/pcsample.*.txt --top 8 ||
+  { echo "FAIL: pcsample recorded no samples in ${perfbench_bin}"; exit 1; }
 echo "bench gate: done"

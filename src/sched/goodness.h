@@ -30,9 +30,9 @@ inline constexpr long kUnschedulableWeight = -1000;
 // per examined task per schedule(), and an out-of-line call was measurably
 // more expensive than the handful of adds it wraps. The arithmetic is
 // byte-for-byte the same as the kernel's. The stock scheduler's scan caches
-// the task-only part of it in its run-queue mirror (LinuxScheduler::FillKey
-// must follow Goodness() branch for branch; tests/linux_scheduler_test.cc
-// checks the two against each other).
+// the task-only part of it in its run-queue mirror and adds the bonuses four
+// tasks at a time (LinuxScheduler::KeyOf must follow Goodness() branch for
+// branch; tests/linux_scheduler_test.cc checks the two against each other).
 
 // Full goodness, with dynamic bonuses. `smp` selects whether the affinity
 // bonus applies (UP kernels compile it out).

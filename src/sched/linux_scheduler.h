@@ -58,63 +58,127 @@ class LinuxScheduler : public Scheduler {
 
   ListHead runqueue_head_;
 
-  // Dense mirror of the run queue, used only by the Schedule() scan. The
-  // circular list above stays authoritative (kernel parity, snapshots,
-  // invariants); the mirror lets the O(n) goodness scan read one contiguous
-  // array instead of chasing list nodes and loading every candidate's
-  // task_struct. Host-time only: the examine count, the recalculations and
-  // the picked task are provably identical to the list walk (see the
-  // equivalence argument in Schedule()).
+  // Dense structure-of-arrays mirror of the run queue, used only by the
+  // Schedule() scan. The circular list above stays authoritative (kernel
+  // parity, snapshots, invariants); the mirror lets the O(n) goodness scan
+  // read contiguous int32 lanes, four tasks per vector step, instead of
+  // chasing list nodes and loading every candidate's task_struct. Host-time
+  // only: the examine count, the recalculations and the picked task are
+  // provably identical to the list walk (see the equivalence argument in
+  // Schedule()).
   //
-  // Each entry caches the task-only part of goodness(): the base weight
-  // (counter + priority, 0 when the quantum is exhausted, 1000 + rt_priority
-  // for real-time tasks, -1 after a yield), whether the affinity and
-  // same-mm bonuses apply, and the `processor` and `mm` those bonuses
-  // compare. The scan adds the bonuses for the deciding CPU without touching
-  // the Task. The cache is exact by the calling convention in scheduler.h: a
-  // queued task that is not on a CPU changes counter, priority, policy or mm
-  // only through a Del+Add re-file or a counter recalculation, both of which
-  // re-key it. Everything else, `processor` included, happens while the
-  // task holds a CPU, and such entries carry `maybe_on_cpu`: set on the
-  // picked task, on `prev` at Schedule() entry, and on a task added while it
-  // still has the CPU. The scan reads the Task only for flagged entries: it
-  // skips them while has_cpu is set, and re-keys and unflags them once they
-  // are off the CPU. So a pick touches about one task_struct per CPU, not
-  // one per runnable task.
+  // Slot i < nr_running_ holds one queued task; Task::scan_slot points back
+  // at it, and a delete swap-pops the last slot into the hole. A slot is 32
+  // bytes in six parallel arrays, stored kLanes slots at a time (SlotGroup):
+  // the int32 lanes the scan reads — the task-only part of goodness() as a
+  // base weight (counter + priority, 0 when the quantum is exhausted, 1000 +
+  // rt_priority for real-time tasks, -1 after a yield), the `processor` the
+  // affinity bonus compares and the two halves of the `mm` pointer the
+  // same-mm bonus compares — and two cold arrays, the Task* and the 64-bit
+  // list-order stamp, read only to break ties. A task the bonuses do not
+  // apply to stores processor kNoProcessor and an mm of kNoMm, values no
+  // deciding CPU and no address space can have, so the scan adds both
+  // bonuses to every lane without a per-entry flag. A task without an mm (a
+  // kernel thread) earns the same-mm bonus on every CPU: its base weight
+  // includes the bonus and its mm is kNoMm, so the scan compares the mm
+  // halves only against the deciding CPU's mm.
   //
-  // `stamp` reproduces list order without ever shifting the array: stamps
+  // The cache is exact by the calling convention in scheduler.h: a queued
+  // task that is not on a CPU changes counter, priority, policy or mm only
+  // through a Del+Add re-file or a counter recalculation, both of which
+  // re-key it. Everything else, `processor` included, happens while the task
+  // holds a CPU. Such tasks are flagged: the picked task, `prev` at
+  // Schedule() entry, and a task added while it still has the CPU. A flagged
+  // slot holds the sentinel key (weight kSentinelWeight, processor
+  // kNoProcessor, mm kNoMm), which can never reach the maximum while a real
+  // entry exists, and its task sits in the small side list flagged_ (about
+  // one per CPU). Schedule() walks that list first: it counts the tasks still
+  // on a CPU, and re-keys and unflags the rest. So a pick touches about one
+  // task_struct per CPU, not one per runnable task.
+  //
+  // The last group is padded with sentinel slots, and a slot vacated by a
+  // delete is reset to the sentinel, so every slot at or past nr_running_ is
+  // a sentinel. The scan stops at the last live group, never at the end of
+  // the mirror: the queue can grow to thousands of entries at set-up and
+  // then stay near a hundred.
+  //
+  // The stamps reproduce list order without ever moving a slot: stamps
   // strictly increase from list front to list back (front inserts take
   // --front_stamp_, tail moves take ++back_stamp_), so "first task with the
-  // strictly greatest goodness in list order" equals "task with the greatest
-  // packed key (goodness, -stamp)". CheckInvariants() verifies mirror
-  // membership, stamp order and range, and every unflagged key against the
-  // list and the tasks.
-  struct ScanEntry {
-    Task* task;
-    const MmStruct* mm;    // task->mm when keyed.
-    int64_t stamp;
-    int32_t weight;        // Base weight, without the dynamic bonuses.
-    int16_t processor;     // task->processor when keyed.
-    uint8_t bonus;         // 1 when the affinity and same-mm bonuses apply.
-    uint8_t maybe_on_cpu;  // 1 when the Task may have changed since keying.
-  };
-  static_assert(sizeof(ScanEntry) <= 32, "two scan entries per cache line");
+  // strictly greatest goodness in list order" equals "task with the
+  // smallest stamp among those with the greatest goodness". CheckInvariants()
+  // verifies mirror membership, stamp order, the sentinel padding, the side
+  // list against the flagged slots, and every unflagged key against its task.
+  friend class LinuxSchedulerMirrorPeer;  // Test-only access to the mirror.
 
-  // Fills e's cached goodness fields from *e.task; leaves stamp and flag.
-  static void FillKey(ScanEntry& e);
-  // Mint the stamps for a front insert and a tail move.
-  int64_t NextFrontStamp();
-  int64_t NextBackStamp();
-  // Marks `task`'s entry, if it is queued, as possibly stale.
-  void FlagMaybeOnCpu(const Task* task) {
-    if (task != nullptr && task->scan_slot >= 0) {
-      scan_[static_cast<size_t>(task->scan_slot)].maybe_on_cpu = 1;
+  struct ScanKey {
+    int32_t weight;     // Base weight, plus the same-mm bonus without an mm.
+    int32_t processor;  // task->processor, or kNoProcessor.
+    int32_t mm_lo;      // Low and high halves of task->mm, or kNoMm.
+    int32_t mm_hi;
+    bool operator==(const ScanKey&) const = default;
+  };
+  static constexpr size_t kLanes = 4;
+  static constexpr int32_t kSentinelWeight = -(int32_t{1} << 30);
+  static constexpr int32_t kNoProcessor = -2;  // Affinity is off at -1.
+  static constexpr int32_t kNoMm = 1;          // No address space lives at 1.
+  static constexpr ScanKey kSentinelKey = {kSentinelWeight, kNoProcessor, kNoMm, 0};
+
+  // kLanes consecutive slots: the four lane arrays, which are all the scan
+  // reads for most groups, then the cold arrays. One vector of groups keeps
+  // the mirror a single block. (Aligning groups to cache lines was measured:
+  // no faster, and the over-aligned allocations raised volano_reg_4p's peak
+  // RSS by half a MiB.)
+  struct SlotGroup {
+    int32_t weight[kLanes];
+    int32_t processor[kLanes];
+    int32_t mm_lo[kLanes];
+    int32_t mm_hi[kLanes];
+    Task* task[kLanes];
+    int64_t stamp[kLanes];
+  };
+  static_assert(sizeof(SlotGroup) <= kLanes * 32, "a mirror slot stays within 32 bytes");
+  static constexpr SlotGroup kSentinelGroup = {
+      {kSentinelWeight, kSentinelWeight, kSentinelWeight, kSentinelWeight},
+      {kNoProcessor, kNoProcessor, kNoProcessor, kNoProcessor},
+      {kNoMm, kNoMm, kNoMm, kNoMm},
+      {},
+      {},
+      {}};
+
+  // goodness() without the bonuses that depend on the deciding CPU, branch
+  // for branch.
+  static ScanKey KeyOf(const Task& p);
+  ScanKey KeyAt(size_t slot) const {
+    const SlotGroup& g = groups_[slot / kLanes];
+    const size_t j = slot % kLanes;
+    return {g.weight[j], g.processor[j], g.mm_lo[j], g.mm_hi[j]};
+  }
+  void StoreKey(size_t slot, const ScanKey& key) {
+    SlotGroup& g = groups_[slot / kLanes];
+    const size_t j = slot % kLanes;
+    g.weight[j] = key.weight;
+    g.processor[j] = key.processor;
+    g.mm_lo[j] = key.mm_lo;
+    g.mm_hi[j] = key.mm_hi;
+  }
+  Task*& TaskAt(size_t slot) { return groups_[slot / kLanes].task[slot % kLanes]; }
+  int64_t& StampAt(size_t slot) { return groups_[slot / kLanes].stamp[slot % kLanes]; }
+  bool IsFlagged(size_t slot) const { return KeyAt(slot).weight == kSentinelWeight; }
+  // Flags `task`'s slot, if it is queued, as possibly stale.
+  void FlagMaybeOnCpu(Task* task) {
+    if (task != nullptr && task->scan_slot >= 0 &&
+        !IsFlagged(static_cast<size_t>(task->scan_slot))) {
+      StoreKey(static_cast<size_t>(task->scan_slot), kSentinelKey);
+      flagged_.push_back(task);
     }
   }
 
-  std::vector<ScanEntry> scan_;
-  int64_t front_stamp_ = 0;  // Last stamp minted for a front insert.
-  int64_t back_stamp_ = 0;   // Last stamp minted for a tail move.
+  // Slots [0, nr_running_) are queued tasks; the rest are sentinel padding.
+  std::vector<SlotGroup> groups_;
+  std::vector<Task*> flagged_;  // Tasks whose slots hold the sentinel key.
+  int64_t front_stamp_ = 0;     // Last stamp minted for a front insert.
+  int64_t back_stamp_ = 0;      // Last stamp minted for a tail move.
 };
 
 }  // namespace elsc

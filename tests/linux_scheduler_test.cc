@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/assert.h"
@@ -18,6 +20,23 @@
 #include "tests/sched_test_util.h"
 
 namespace elsc {
+
+// Reaches into the scan mirror, so tests can break it and check that
+// CheckInvariants() notices.
+class LinuxSchedulerMirrorPeer {
+ public:
+  static size_t Capacity(const LinuxScheduler& s) {
+    return s.groups_.size() * LinuxScheduler::kLanes;
+  }
+  static int32_t& Weight(LinuxScheduler& s, size_t slot) {
+    return s.groups_[slot / LinuxScheduler::kLanes].weight[slot % LinuxScheduler::kLanes];
+  }
+  static int32_t& Processor(LinuxScheduler& s, size_t slot) {
+    return s.groups_[slot / LinuxScheduler::kLanes].processor[slot % LinuxScheduler::kLanes];
+  }
+  static std::vector<Task*>& Flagged(LinuxScheduler& s) { return s.flagged_; }
+};
+
 namespace {
 
 class LinuxSchedulerTest : public ::testing::Test {
@@ -361,12 +380,14 @@ struct DiffConfig {
   int cpus;
   bool smp;
   int steps;
+  int tasks = 0;  // 0: drawn from the seed.
 };
 
 std::string Repro(const DiffConfig& cfg, int step, const char* op) {
-  return StrFormat("repro: RunDifferential(DiffConfig{%llu, %d, %s, %d}) fails at step %d (%s)",
-                   static_cast<unsigned long long>(cfg.seed), cfg.cpus,
-                   cfg.smp ? "true" : "false", step + 1, step, op);
+  return StrFormat(
+      "repro: RunDifferential(DiffConfig{%llu, %d, %s, %d, %d}) fails at step %d (%s)",
+      static_cast<unsigned long long>(cfg.seed), cfg.cpus, cfg.smp ? "true" : "false",
+      step + 1, cfg.tasks, step, op);
 }
 
 // One side: a scheduler, its tasks and the per-CPU state a Machine keeps.
@@ -626,6 +647,7 @@ struct DiffCoverage {
   uint64_t rr_expiries = 0;
   uint64_t realtime_picks = 0;
   uint64_t idle_picks = 0;
+  uint64_t queue_lengths = 0;    // Bit k: a pick ran with k tasks queued (k < 64).
 };
 
 void RunDifferential(const DiffConfig& cfg, DiffCoverage* coverage = nullptr) {
@@ -636,7 +658,8 @@ void RunDifferential(const DiffConfig& cfg, DiffCoverage* coverage = nullptr) {
   Rng rng(cfg.seed);
   // Few, short-quantum tasks so counters drain and recalculations happen;
   // some real-time ones; shared, private and absent (kernel-thread) mms.
-  const int ntasks = static_cast<int>(rng.NextInRange(2, 2 + 2 * cfg.cpus + 6));
+  const int ntasks =
+      cfg.tasks > 0 ? cfg.tasks : static_cast<int>(rng.NextInRange(2, 2 + 2 * cfg.cpus + 6));
   for (DiffWorld* w : {&mirror, &kernel}) {
     for (int i = 0; i < 3; ++i) {
       w->mms.push_back(w->factory.NewMm());
@@ -688,6 +711,7 @@ void RunDifferential(const DiffConfig& cfg, DiffCoverage* coverage = nullptr) {
         cov.on_cpu_skips += want.examined < kernel.sched.nr_running() && queued > 0 ? 1 : 0;
         cov.realtime_picks += want.next != nullptr && want.next->IsRealtime() ? 1 : 0;
         cov.idle_picks += want.next == nullptr ? 1 : 0;
+        cov.queue_lengths |= queued < 64 ? uint64_t{1} << queued : 0;
       }
       mirror.sched.CheckInvariants();
     } catch (const InvariantViolation& v) {
@@ -723,6 +747,211 @@ TEST(LinuxSchedulerDifferentialTest, MirrorScanMatchesKernelListWalk) {
   EXPECT_GT(cov.rr_expiries, 0u);
   EXPECT_GT(cov.realtime_picks, 0u);
   EXPECT_GT(cov.idle_picks, 0u);
+}
+
+// Queues of 0 to 9 tasks: every length mod 4, so the last vector group of
+// the scan is full, partial or absent, and the pick can sit in any lane.
+TEST(LinuxSchedulerDifferentialTest, MirrorScanMatchesKernelListWalkAcrossLaneBoundaries) {
+  DiffCoverage cov;
+  for (int tasks = 1; tasks <= 9; ++tasks) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      for (const auto& [cpus, smp] : {std::pair{1, false}, std::pair{1, true}, std::pair{2, true},
+                                      std::pair{4, true}}) {
+        RunDifferential({seed * 977 + static_cast<uint64_t>(tasks * 8 + cpus), cpus, smp, 600,
+                         tasks},
+                        &cov);
+        if (HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+  }
+  for (int length = 0; length <= 9; ++length) {
+    EXPECT_NE(cov.queue_lengths & (uint64_t{1} << length), 0u)
+        << "no pick at queue length " << length;
+  }
+  EXPECT_GT(cov.recalcs, 0u);
+  EXPECT_GT(cov.on_cpu_skips, 0u);
+  EXPECT_GT(cov.idle_picks, 0u);
+}
+
+// Picks `want` for a blocked `prev` with the kernel's list walk and checks
+// Schedule() against it. prev is off the queue and every queued counter is
+// non-zero, so the walk changes nothing.
+void ExpectPickMatchesListWalk(LinuxScheduler& sched, TaskList* all_tasks, int cpu, Task* prev,
+                               const std::string& where) {
+  const Pick want = ReferenceSchedule(sched, all_tasks, cpu, prev, sched.config().smp);
+  ASSERT_EQ(want.recalcs, 0u) << where;
+  CostMeter meter(sched.cost_model());
+  Task* got = sched.Schedule(cpu, prev, meter);
+  sched.CheckInvariants();
+  ASSERT_EQ(PidOf(got), PidOf(want.next)) << where;
+  ASSERT_EQ(meter.tasks_examined(), want.examined) << where;
+}
+
+TEST_F(LinuxSchedulerTest, DrainedQueueNeverPicksOrExaminesPaddingOrStaleSlots) {
+  // Grow the mirror past 1,000 slots with tasks that would win every pick,
+  // drain it down to a few weak ones, and pick at every length on the way
+  // down: a scan that read the vacated slots would examine too many tasks
+  // or return one that left the queue.
+  Rebuild(4, true);
+  Rng rng(17);
+  std::vector<Task*> strong;
+  std::vector<Task*> weak;
+  for (int i = 0; i < 1030; ++i) {
+    const bool is_weak = i % 205 == 0;  // 6 weak tasks, spread over the slots.
+    Task* t = factory_.NewTask(is_weak ? 1 + i % 3 : 40, 20);
+    t->processor = static_cast<int>(rng.NextBelow(4));
+    sched_->AddToRunQueue(t);
+    (is_weak ? weak : strong).push_back(t);
+  }
+  const size_t grown = LinuxSchedulerMirrorPeer::Capacity(*sched_);
+  ASSERT_GE(grown, 1030u);
+  sched_->CheckInvariants();
+  Task* prev = factory_.NewTask();
+  prev->state = TaskState::kInterruptible;
+  while (!strong.empty()) {
+    const size_t victim = rng.NextBelow(strong.size());
+    sched_->DelFromRunQueue(strong[victim]);
+    strong[victim] = strong.back();
+    strong.pop_back();
+    if (strong.size() % 97 == 0) {
+      ExpectPickMatchesListWalk(*sched_, factory_.task_list(), 0, prev,
+                                StrFormat("%zu strong tasks left", strong.size()));
+    }
+  }
+  ASSERT_EQ(LinuxSchedulerMirrorPeer::Capacity(*sched_), grown);
+  while (true) {
+    for (int cpu = 0; cpu < 4; ++cpu) {
+      ExpectPickMatchesListWalk(*sched_, factory_.task_list(), cpu, prev,
+                                StrFormat("%zu weak tasks, cpu %d", weak.size(), cpu));
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+    if (weak.empty()) {
+      break;
+    }
+    sched_->DelFromRunQueue(weak.back());
+    weak.pop_back();
+  }
+  EXPECT_EQ(sched_->nr_running(), 0u);
+}
+
+TEST(LinuxSchedulerTieTest, ExactTiesAcrossLanesPickTheFrontmostTask) {
+  // Every task has the same counter, priority and mm, so goodness differs
+  // only by the affinity bonus and most picks are decided by list order
+  // among many exact ties spread over the vector lanes. Picks stay on their
+  // CPU for a while (flagged slots: up to 64 at once at 64 CPUs) and come
+  // back with a new processor, which the re-key must pick up.
+  for (int cpus : {1, 4, 64}) {
+    SCOPED_TRACE(StrFormat("%d CPUs", cpus));
+    TaskFactory factory;
+    LinuxScheduler sched(CostModel::PentiumII(), factory.task_list(), SchedulerConfig{cpus, true});
+    Rng rng(static_cast<uint64_t>(cpus));
+    std::vector<Task*> tasks;
+    for (int i = 0; i < 103; ++i) {
+      Task* t = factory.NewTask(10, 20);
+      t->processor = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(cpus)));
+      sched.AddToRunQueue(t);
+      tasks.push_back(t);
+    }
+    Task* prev = factory.NewTask();  // Same mm: the bonus applies to every task.
+    prev->state = TaskState::kInterruptible;
+    std::vector<Task*> running(static_cast<size_t>(cpus), nullptr);
+    size_t most_on_cpu = 0;
+    for (int step = 0; step < 1500; ++step) {
+      const int cpu = static_cast<int>(rng.NextBelow(static_cast<uint64_t>(cpus)));
+      Task*& current = running[static_cast<size_t>(cpu)];
+      if (current != nullptr) {
+        current->has_cpu = 0;  // Context switch away; it stays queued.
+      }
+      for (int k = 0; k < 3; ++k) {
+        Task* t = tasks[rng.NextBelow(tasks.size())];
+        if (rng.NextBool(0.5)) {
+          sched.MoveFirstRunQueue(t);
+        } else {
+          sched.MoveLastRunQueue(t);
+        }
+      }
+      const Pick want =
+          ReferenceSchedule(sched, factory.task_list(), cpu, prev, /*smp=*/true);
+      CostMeter meter(sched.cost_model());
+      Task* got = sched.Schedule(cpu, prev, meter);
+      ASSERT_EQ(PidOf(got), PidOf(want.next)) << "step " << step;
+      ASSERT_EQ(meter.tasks_examined(), want.examined) << "step " << step;
+      most_on_cpu = std::max<size_t>(most_on_cpu, sched.nr_running() - want.examined);
+      got->has_cpu = 1;
+      got->processor = cpu;
+      current = got;
+      sched.CheckInvariants();
+    }
+    EXPECT_GE(most_on_cpu, static_cast<size_t>(cpus) - 1);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Teeth for the mirror's own invariants.
+// ---------------------------------------------------------------------------
+
+void ExpectViolation(const LinuxScheduler& sched, const char* msg) {
+  ViolationTrap trap;
+  EXPECT_THROW(sched.CheckInvariants(), InvariantViolation);
+  ASSERT_TRUE(trap.triggered());
+  EXPECT_STREQ(trap.info().msg, msg);
+}
+
+TEST_F(LinuxSchedulerTest, InvariantsCatchAPaddingSlotThatIsNotASentinel) {
+  // Padding after a partial group, and stale slots left by a drain.
+  for (const auto& [queued, grown] : {std::pair{1, 1}, std::pair{5, 5}, std::pair{3, 12}}) {
+    Rebuild(2, true);
+    std::vector<Task*> tasks;
+    for (int i = 0; i < grown; ++i) {
+      tasks.push_back(factory_.NewTask());
+      sched_->AddToRunQueue(tasks.back());
+    }
+    for (int i = queued; i < grown; ++i) {
+      sched_->DelFromRunQueue(tasks[static_cast<size_t>(i)]);
+    }
+    sched_->CheckInvariants();
+    const size_t capacity = LinuxSchedulerMirrorPeer::Capacity(*sched_);
+    ASSERT_GT(capacity, static_cast<size_t>(queued));
+    // The first padding slot, then the last slot of the arrays.
+    for (size_t slot : {static_cast<size_t>(queued), capacity - 1}) {
+      int32_t& weight = LinuxSchedulerMirrorPeer::Weight(*sched_, slot);
+      const int32_t saved = weight;
+      weight = 30;
+      ExpectViolation(*sched_, "scan mirror padding slot is not a sentinel");
+      weight = saved;
+      sched_->CheckInvariants();
+    }
+  }
+}
+
+TEST_F(LinuxSchedulerTest, InvariantsCatchAFlaggedListOutOfSyncWithTheFlaggedSlots) {
+  constexpr char kOutOfSync[] = "scan mirror flagged list out of sync with flagged slots";
+  Rebuild(2, true);
+  Task* a = factory_.NewTask(30, 20);
+  Task* b = factory_.NewTask(20, 20);
+  sched_->AddToRunQueue(a);
+  sched_->AddToRunQueue(b);
+  ASSERT_EQ(Schedule(0, nullptr), a);  // a's slot is flagged now.
+  a->has_cpu = 1;
+  std::vector<Task*>& flagged = LinuxSchedulerMirrorPeer::Flagged(*sched_);
+  ASSERT_EQ(flagged, std::vector<Task*>{a});
+
+  flagged.clear();  // A flagged slot missing from the list.
+  ExpectViolation(*sched_, kOutOfSync);
+  flagged = {a, a};  // Listed twice.
+  ExpectViolation(*sched_, kOutOfSync);
+  flagged = {a, b};  // An unflagged task listed.
+  ExpectViolation(*sched_, kOutOfSync);
+  flagged = {a};
+  sched_->CheckInvariants();
+
+  // A flagged slot must hold the whole sentinel key, not just its weight.
+  LinuxSchedulerMirrorPeer::Processor(*sched_, static_cast<size_t>(a->scan_slot)) = 0;
+  ExpectViolation(*sched_, "scan mirror flagged slot is not a sentinel");
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // Randomized stress sweeps: chaotic mixes of CPU hogs, yield-spinners,
 // interactive sleepers, wait-queue waiters with asynchronous wakes, forking
-// tasks, and real-time tasks, across schedulers, CPU counts, and seeds —
-// all with scheduler invariant checking enabled. The assertions are
+// tasks, and real-time tasks, across schedulers, CPU counts (up to 64) and
+// seeds — all with scheduler invariant checking enabled. The assertions are
 // survival properties: nothing corrupts, nothing deadlocks, all finite work
 // completes, and the accounting adds up.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -200,6 +201,90 @@ TEST_P(StressFuzzTest, FullChaosSweepHoldsEveryAuditedInvariant) {
       << " table=" << run.stats.audit.table_violations
       << " ordering=" << run.stats.audit.ordering_violations;
   EXPECT_EQ(run.stats.audit.watchdog_firings(), 0u);
+}
+
+// Wide SMP: the chaos mix at 8, 16 and 64 CPUs, past the paper's 4-CPU
+// ceiling and the sweep above. With this many CPUs most runnable tasks sit
+// on a processor at any moment, which is where has_cpu filtering, per-CPU
+// queues and cross-CPU wakeups are stressed hardest. The population grows
+// with the CPU count so every CPU has work.
+struct WideSmpCase {
+  SchedulerKind kind;
+  int cpus;
+};
+
+std::vector<WideSmpCase> WideSmpCases() {
+  std::vector<WideSmpCase> cases;
+  for (SchedulerKind kind : {SchedulerKind::kLinux, SchedulerKind::kElsc, SchedulerKind::kO1,
+                             SchedulerKind::kMultiQueue, SchedulerKind::kHeap}) {
+    for (int cpus : {8, 16, 64}) {
+      cases.push_back({kind, cpus});
+    }
+  }
+  return cases;
+}
+
+std::string WideSmpName(const WideSmpCase& c) {
+  return std::string(SchedulerKindName(c.kind)) + "_cpus" + std::to_string(c.cpus);
+}
+
+class WideSmpFuzzTest : public ::testing::TestWithParam<WideSmpCase> {};
+
+INSTANTIATE_TEST_SUITE_P(WideSmp, WideSmpFuzzTest, ::testing::ValuesIn(WideSmpCases()),
+                         [](const auto& info) { return WideSmpName(info.param); });
+
+TEST_P(WideSmpFuzzTest, FullChaosHoldsEveryAuditedInvariant) {
+  const WideSmpCase wide = GetParam();
+  const uint64_t seed = static_cast<uint64_t>(wide.cpus) * 101 + static_cast<uint64_t>(wide.kind);
+  SCOPED_TRACE("repro: --gtest_filter='WideSmp/WideSmpFuzzTest.*/" + WideSmpName(wide) +
+               "' (scheduler=" + SchedulerKindName(wide.kind) +
+               " cpus=" + std::to_string(wide.cpus) + " seed=" + std::to_string(seed) + ")");
+  Rng rng(seed);
+  MachineConfig config;
+  config.num_cpus = wide.cpus;
+  config.smp = true;
+  config.scheduler = wide.kind;
+  config.seed = seed;
+  config.check_invariants = true;
+
+  const int per_cpu = wide.cpus / 4;
+  ChaosMixConfig mix;
+  mix.seed = seed;
+  mix.spinners = static_cast<int>(per_cpu + rng.NextBelow(static_cast<uint64_t>(wide.cpus)));
+  mix.yielders = static_cast<int>(per_cpu + rng.NextBelow(static_cast<uint64_t>(per_cpu)));
+  mix.interactive = static_cast<int>(per_cpu + rng.NextBelow(static_cast<uint64_t>(per_cpu)));
+  mix.waiters = static_cast<int>(1 + rng.NextBelow(static_cast<uint64_t>(per_cpu)));
+  mix.forkers = static_cast<int>(1 + rng.NextBelow(4));
+  mix.rt_tasks = static_cast<int>(rng.NextBelow(3));
+
+  // Every injector of FullChaosPlan, on a timeline compressed to fit a run
+  // that lasts tens of simulated milliseconds once the work is spread over
+  // this many CPUs.
+  ChaosOptions chaos;
+  chaos.faults = FullChaosPlan(seed * 31 + 7);
+  chaos.faults.timer_period = MsToCycles(3);
+  chaos.faults.fork_storm_period = MsToCycles(10);
+  chaos.faults.spurious_wake_period = MsToCycles(2);
+  chaos.faults.cpu_stall_period = MsToCycles(12);
+  chaos.faults.cpu_stall_duration = MsToCycles(3);
+  chaos.faults.lock_stall_period = MsToCycles(4);
+  chaos.audit = StrictAudit();
+
+  const ChaosMixRun run = RunChaosMix(config, mix, SecToCycles(120), chaos);
+  EXPECT_TRUE(run.result.completed);
+  EXPECT_FALSE(run.stats.failed) << run.stats.failure;
+  EXPECT_EQ(run.stats.audit.violations(), 0u)
+      << "conservation=" << run.stats.audit.conservation_violations
+      << " counter=" << run.stats.audit.counter_violations
+      << " structure=" << run.stats.audit.structure_violations
+      << " table=" << run.stats.audit.table_violations
+      << " ordering=" << run.stats.audit.ordering_violations;
+  EXPECT_EQ(run.stats.audit.watchdog_firings(), 0u);
+  // The compressed timeline fired the injectors that act on CPUs and tasks.
+  EXPECT_GT(run.stats.faults.cpu_stalls, 0u);
+  EXPECT_GT(run.stats.faults.storm_bursts, 0u);
+  EXPECT_GT(run.stats.faults.spurious_wakes, 0u);
+  EXPECT_GT(run.stats.faults.lock_stalls, 0u);
 }
 
 }  // namespace
