@@ -2,7 +2,7 @@
 // simulated kernel.
 //
 // Implements a deliberately naive FIFO scheduler (ignore goodness entirely;
-// run whoever has waited longest) against the Scheduler interface, then
+// run whoever has waited longest) on PolicyScheduler's hooks, then
 // races it against the stock and ELSC schedulers on a small VolanoMark run.
 // The point: the library's Machine, workloads, and statistics all work with
 // any Scheduler implementation — this is the extension surface the paper's
@@ -11,11 +11,11 @@
 //
 //   $ ./custom_scheduler
 
+#include <algorithm>
 #include <cstdio>
 #include <deque>
 #include <memory>
 
-#include "src/base/assert.h"
 #include "src/kernel/policy.h"
 #include "src/sched/scheduler.h"
 #include "src/smp/machine.h"
@@ -26,41 +26,34 @@ namespace {
 
 // First-in, first-out: tasks run in wake order, full quantum each time.
 // Interactive tasks get no preference, so latency suffers — measurably.
-class FifoScheduler : public elsc::Scheduler {
+//
+// A policy is three hooks on PolicyScheduler: queue a task, unqueue a task,
+// pick the next one. The framework does the rest of the kernel contract: the
+// on-run-queue checks, nr_running, the wakeup count, and schedule()'s cost
+// bracket and pick statistics.
+class FifoScheduler : public elsc::PolicyScheduler<FifoScheduler> {
  public:
-  FifoScheduler(const elsc::CostModel& cost_model, elsc::TaskList* all_tasks,
-                const elsc::SchedulerConfig& config)
-      : Scheduler(cost_model, all_tasks, config) {}
+  using PolicyScheduler::PolicyScheduler;
 
   const char* name() const override { return "naive-fifo"; }
 
-  void AddToRunQueue(elsc::Task* task) override {
-    ELSC_CHECK(!task->OnRunQueue());
-    task->run_list.next = &task->run_list;  // On-run-queue marker.
-    task->run_list.prev = &task->run_list;
+ private:
+  friend class elsc::PolicyScheduler<FifoScheduler>;
+
+  void Enqueue(elsc::Task* task) {
+    MarkQueued(task);
     queue_.push_back(task);
-    ++nr_running_;
   }
 
-  void DelFromRunQueue(elsc::Task* task) override {
-    ELSC_CHECK(task->OnRunQueue());
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (*it == task) {
-        queue_.erase(it);
-        break;
-      }
+  void Dequeue(elsc::Task* task) {
+    // A running task is on the run queue but not in queue_.
+    const auto it = std::find(queue_.begin(), queue_.end(), task);
+    if (it != queue_.end()) {
+      queue_.erase(it);
     }
-    task->run_list.next = nullptr;
-    task->run_list.prev = nullptr;
-    --nr_running_;
   }
 
-  void MoveFirstRunQueue(elsc::Task* task) override { (void)task; }
-  void MoveLastRunQueue(elsc::Task* task) override { (void)task; }
-
-  elsc::Task* Schedule(int this_cpu, elsc::Task* prev, elsc::CostMeter& meter) override {
-    meter.ChargeEntry();
-    meter.ChargeLock();
+  elsc::Task* PickNext(int this_cpu, elsc::Task* prev, elsc::CostMeter& meter) {
     if (prev != nullptr) {
       prev->policy &= ~elsc::kSchedYield;
       if (prev->state == elsc::TaskState::kRunning) {
@@ -79,16 +72,11 @@ class FifoScheduler : public elsc::Scheduler {
         continue;
       }
       queue_.erase(it);
-      meter.ChargeFinish();
-      RecordPick(this_cpu, prev, candidate, meter);
       return candidate;
     }
-    meter.ChargeFinish();
-    RecordPick(this_cpu, prev, nullptr, meter);
     return nullptr;
   }
 
- private:
   std::deque<elsc::Task*> queue_;
 };
 
@@ -97,15 +85,17 @@ class FifoScheduler : public elsc::Scheduler {
 int main() {
   std::printf("Racing a custom FIFO scheduler against the built-ins (2 rooms, 2P)...\n\n");
 
-  elsc::TextTable table({"scheduler", "completed", "throughput", "cycles/sched"});
+  elsc::TextTable table({"scheduler", "completed", "throughput", "cycles/sched", "wakeups"});
 
   auto report = [&table](const char* label, elsc::Machine& machine, bool done,
                          const elsc::VolanoWorkload& workload) {
     const elsc::VolanoResult result = workload.Result();
-    char tput[32], cps[32];
+    const elsc::SchedStats& stats = machine.scheduler().stats();
+    char tput[32], cps[32], wakeups[32];
     std::snprintf(tput, sizeof(tput), "%.0f", result.throughput);
-    std::snprintf(cps, sizeof(cps), "%.0f", machine.scheduler().stats().CyclesPerSchedule());
-    table.AddRow({label, done ? "yes" : "NO", tput, cps});
+    std::snprintf(cps, sizeof(cps), "%.0f", stats.CyclesPerSchedule());
+    std::snprintf(wakeups, sizeof(wakeups), "%llu", (unsigned long long)stats.wakeups);
+    table.AddRow({label, done ? "yes" : "NO", tput, cps, wakeups});
   };
 
   elsc::VolanoConfig volano;

@@ -9,32 +9,22 @@
 
 namespace elsc {
 
+template class PolicyScheduler<ElscScheduler>;
+
 ElscScheduler::ElscScheduler(const CostModel& cost_model, TaskList* all_tasks,
                              const SchedulerConfig& config, const ElscOptions& options)
-    : Scheduler(cost_model, all_tasks, config),
+    : PolicyScheduler(cost_model, all_tasks, config),
       table_(options.table),
       search_limit_(config.num_cpus / 2 + options.search_limit_extra),
       affinity_decay_window_(options.affinity_decay_window) {
   ELSC_CHECK(search_limit_ >= 1);
 }
 
-void ElscScheduler::AddToRunQueue(Task* task) {
-  ELSC_VERIFY_MSG(!task->OnRunQueue(), "add_to_runqueue: task already on run queue");
-  table_.Insert(task);
-  ++nr_running_;
-  ++stats_.wakeups;
-}
-
-void ElscScheduler::DelFromRunQueue(Task* task) {
-  ELSC_VERIFY_MSG(task->OnRunQueue(), "del_from_runqueue: task not on run queue");
+void ElscScheduler::Dequeue(Task* task) {
+  // A running task is on the run queue without being in a list.
   if (task->run_list_index != ElscRunQueue::kNoList) {
     table_.Remove(task);
   }
-  // Clearing both pointers marks "not on the run queue at all" (the stock
-  // convention is next == NULL; ELSC also maintains prev, paper footnote 3).
-  task->run_list.next = nullptr;
-  task->run_list.prev = nullptr;
-  --nr_running_;
 }
 
 void ElscScheduler::MoveFirstRunQueue(Task* task) {
@@ -51,10 +41,6 @@ void ElscScheduler::MoveLastRunQueue(Task* task) {
     return;
   }
   table_.MoveLastInSection(task);
-}
-
-void ElscScheduler::RecalculateCounters() {
-  all_tasks_->ForEach([](Task* p) { p->counter = (p->counter >> 1) + p->priority; });
 }
 
 void ElscScheduler::DetachForRun(Task* task) {
@@ -161,10 +147,7 @@ Task* ElscScheduler::SearchList(int index, int this_cpu, const Task* prev, CostM
   return nullptr;
 }
 
-Task* ElscScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
-  meter.ChargeEntry();
-  meter.ChargeLock();
-
+Task* ElscScheduler::PickNext(int this_cpu, Task* prev, CostMeter& meter) {
   const bool prev_yielded = prev != nullptr && PolicyHasYield(prev->policy);
 
   if (prev != nullptr) {
@@ -199,8 +182,7 @@ Task* ElscScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
         // Runnable tasks exist but all quanta are exhausted: recalculate
         // every counter in the system. The exhausted tasks were parked at
         // their predicted indices, so only the pointers need refreshing.
-        meter.ChargeRecalc(all_tasks_->size());
-        RecalculateCounters();
+        RecalculateCounters(meter);
         table_.OnCountersRecalculated();
         continue;
       }
@@ -234,9 +216,6 @@ Task* ElscScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
   if (prev != nullptr) {
     prev->policy &= ~kSchedYield;
   }
-
-  meter.ChargeFinish();
-  RecordPick(this_cpu, prev, chosen, meter);
   return chosen;
 }
 

@@ -38,19 +38,15 @@ struct ElscOptions {
   uint64_t affinity_decay_window = 0;
 };
 
-class ElscScheduler : public Scheduler {
+class ElscScheduler : public PolicyScheduler<ElscScheduler> {
  public:
   ElscScheduler(const CostModel& cost_model, TaskList* all_tasks, const SchedulerConfig& config,
                 const ElscOptions& options = ElscOptions{});
 
   const char* name() const override { return "elsc"; }
 
-  void AddToRunQueue(Task* task) override;
-  void DelFromRunQueue(Task* task) override;
   void MoveFirstRunQueue(Task* task) override;
   void MoveLastRunQueue(Task* task) override;
-
-  Task* Schedule(int this_cpu, Task* prev, CostMeter& meter) override;
 
   void CheckInvariants() const override;
 
@@ -62,8 +58,10 @@ class ElscScheduler : public Scheduler {
   int search_limit() const { return search_limit_; }
 
  private:
-  // Whole-system counter recalculation (same loop as the stock scheduler).
-  void RecalculateCounters();
+  friend class PolicyScheduler<ElscScheduler>;
+  void Enqueue(Task* task) { table_.Insert(task); }
+  void Dequeue(Task* task);
+  Task* PickNext(int this_cpu, Task* prev, CostMeter& meter);
 
   // Searches one list; returns the chosen task or nullptr. Sets
   // `descend` when the caller should try the next populated list.
@@ -77,6 +75,8 @@ class ElscScheduler : public Scheduler {
   int search_limit_;
   uint64_t affinity_decay_window_;
 };
+
+extern template class PolicyScheduler<ElscScheduler>;  // In elsc_scheduler.cc.
 
 }  // namespace elsc
 

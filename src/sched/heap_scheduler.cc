@@ -8,6 +8,8 @@
 
 namespace elsc {
 
+template class PolicyScheduler<HeapScheduler>;
+
 long HeapScheduler::KeyOf(const Task& p) {
   if (PolicyHasYield(p.policy)) {
     return 0;
@@ -95,31 +97,20 @@ Task* HeapScheduler::HeapPopAt(size_t index, CostMeter* meter) {
   return removed;
 }
 
-void HeapScheduler::AddToRunQueue(Task* task) {
-  ELSC_VERIFY_MSG(!task->OnRunQueue(), "add_to_runqueue: task already on run queue");
-  task->run_list.next = &task->run_list;  // "On the run queue" marker.
-  task->run_list.prev = &task->run_list;
+void HeapScheduler::Enqueue(Task* task) {
+  MarkQueued(task);
   HeapPush(task, nullptr);
-  ++nr_running_;
-  ++stats_.wakeups;
 }
 
-void HeapScheduler::DelFromRunQueue(Task* task) {
-  ELSC_VERIFY_MSG(task->OnRunQueue(), "del_from_runqueue: task not on run queue");
+void HeapScheduler::Dequeue(Task* task) {
+  // A running task is on the run queue without being in the heap.
   if (task->heap_index != -1) {
     HeapPopAt(static_cast<size_t>(task->heap_index), nullptr);
   }
-  task->run_list.next = nullptr;
-  task->run_list.prev = nullptr;
-  --nr_running_;
 }
 
-void HeapScheduler::MoveFirstRunQueue(Task* task) { (void)task; }
-void HeapScheduler::MoveLastRunQueue(Task* task) { (void)task; }
-
-void HeapScheduler::RecalculateCounters(CostMeter& meter) {
-  meter.ChargeRecalc(all_tasks_->size());
-  all_tasks_->ForEach([](Task* p) { p->counter = (p->counter >> 1) + p->priority; });
+void HeapScheduler::RecalculateAndRebuild(CostMeter& meter) {
+  RecalculateCounters(meter);
   // Heap residents' keys changed wholesale: rebuild in place.
   for (size_t i = 0; i < heap_.size(); ++i) {
     keys_[i] = KeyOf(*heap_[i]);
@@ -131,10 +122,7 @@ void HeapScheduler::RecalculateCounters(CostMeter& meter) {
   }
 }
 
-Task* HeapScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
-  meter.ChargeEntry();
-  meter.ChargeLock();
-
+Task* HeapScheduler::PickNext(int this_cpu, Task* prev, CostMeter& meter) {
   if (prev != nullptr) {
     // One-shot yield penalty: clear the bit now; KeyOf() already returned 0
     // for it if we push below (bit still influences nothing else).
@@ -180,7 +168,7 @@ Task* HeapScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
         HeapPush(t, &meter);
       }
       running_elsewhere.clear();
-      RecalculateCounters(meter);
+      RecalculateAndRebuild(meter);
       continue;
     }
     chosen = top;  // Stays out of the heap while it runs (still marked on-rq).
@@ -189,9 +177,6 @@ Task* HeapScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
   for (Task* t : running_elsewhere) {
     HeapPush(t, &meter);
   }
-
-  meter.ChargeFinish();
-  RecordPick(this_cpu, prev, chosen, meter);
   return chosen;
 }
 

@@ -24,26 +24,24 @@
 
 namespace elsc {
 
-class HeapScheduler : public Scheduler {
+// Tie-biasing has no meaning inside a heap, so MoveFirstRunQueue and
+// MoveLastRunQueue keep the framework's no-ops.
+class HeapScheduler : public PolicyScheduler<HeapScheduler> {
  public:
-  HeapScheduler(const CostModel& cost_model, TaskList* all_tasks, const SchedulerConfig& config)
-      : Scheduler(cost_model, all_tasks, config) {}
+  using PolicyScheduler::PolicyScheduler;
 
   const char* name() const override { return "heap"; }
-
-  void AddToRunQueue(Task* task) override;
-  void DelFromRunQueue(Task* task) override;
-  // Tie-biasing has no meaning inside a heap; these are accepted no-ops.
-  void MoveFirstRunQueue(Task* task) override;
-  void MoveLastRunQueue(Task* task) override;
-
-  Task* Schedule(int this_cpu, Task* prev, CostMeter& meter) override;
 
   void CheckInvariants() const override;
 
   size_t heap_size() const { return heap_.size(); }
 
  private:
+  friend class PolicyScheduler<HeapScheduler>;
+  void Enqueue(Task* task);
+  void Dequeue(Task* task);
+  Task* PickNext(int this_cpu, Task* prev, CostMeter& meter);
+
   // Static-goodness key; the heap is ordered by it.
   static long KeyOf(const Task& p);
 
@@ -53,11 +51,14 @@ class HeapScheduler : public Scheduler {
   void SiftDown(size_t index);
   void ChargeHeapOp(CostMeter* meter) const;
 
-  void RecalculateCounters(CostMeter& meter);
+  // Recalculates every counter, then rebuilds the heap over the new keys.
+  void RecalculateAndRebuild(CostMeter& meter);
 
   std::vector<Task*> heap_;
   std::vector<long> keys_;  // keys_[i] caches KeyOf(*heap_[i]) at insert time.
 };
+
+extern template class PolicyScheduler<HeapScheduler>;  // In heap_scheduler.cc.
 
 }  // namespace elsc
 

@@ -11,6 +11,8 @@
 #include "src/sched/goodness.h"
 
 namespace elsc {
+
+template class PolicyScheduler<LinuxScheduler>;
 namespace {
 
 // Four int32 lanes as a GCC/Clang generic vector: baseline SSE2 on x86-64,
@@ -64,13 +66,11 @@ LinuxScheduler::ScanKey LinuxScheduler::KeyOf(const Task& p) {
   return {static_cast<int32_t>(weight), p.processor, MmLo(p.mm), MmHi(p.mm)};
 }
 
-void LinuxScheduler::AddToRunQueue(Task* task) {
-  ELSC_VERIFY_MSG(!task->OnRunQueue(), "add_to_runqueue: task already on run queue");
+void LinuxScheduler::Enqueue(Task* task) {
   // Newly created or awakened tasks go to the *front* of the run queue
   // (paper §3.2): list_add(&p->run_list, &runqueue_head).
   ListAdd(&task->run_list, &runqueue_head_);
-  const size_t slot = nr_running_++;
-  ++stats_.wakeups;
+  const size_t slot = nr_running_;
   if (slot == groups_.size() * kLanes) {
     groups_.push_back(kSentinelGroup);
   }
@@ -87,12 +87,8 @@ void LinuxScheduler::AddToRunQueue(Task* task) {
   }
 }
 
-void LinuxScheduler::DelFromRunQueue(Task* task) {
-  ELSC_VERIFY_MSG(task->OnRunQueue(), "del_from_runqueue: task not on run queue");
+void LinuxScheduler::Dequeue(Task* task) {
   ListDel(&task->run_list);
-  // The kernel marks "off the run queue" by nulling only the next pointer.
-  task->run_list.next = nullptr;
-  task->run_list.prev = nullptr;
   const size_t slot = static_cast<size_t>(task->scan_slot);
   if (IsFlagged(slot)) {
     for (Task*& flagged : flagged_) {
@@ -106,7 +102,7 @@ void LinuxScheduler::DelFromRunQueue(Task* task) {
   // Swap-pop the slot; the moved entry keeps its stamp and its flag (a
   // flagged task is in flagged_ by pointer, not by slot). The vacated last
   // slot turns back into sentinel padding.
-  const size_t last = --nr_running_;
+  const size_t last = nr_running_ - 1;
   StoreKey(slot, KeyAt(last));
   TaskAt(slot) = TaskAt(last);
   StampAt(slot) = StampAt(last);
@@ -129,25 +125,7 @@ void LinuxScheduler::MoveLastRunQueue(Task* task) {
   StampAt(static_cast<size_t>(task->scan_slot)) = ++back_stamp_;
 }
 
-void LinuxScheduler::RecalculateCounters() {
-  // for_each_task(p): p->counter = (p->counter >> 1) + p->priority. Touches
-  // every task in the system, runnable or not (paper §3.3.2). Queued tasks
-  // are re-keyed on the way past, except flagged ones, which Schedule()
-  // re-keys once they are off their CPU; a queued task outside all_tasks_
-  // (exiting, its last schedule() in flight) keeps its counter and so its
-  // key.
-  all_tasks_->ForEach([this](Task* p) {
-    p->counter = (p->counter >> 1) + p->priority;
-    if (p->scan_slot >= 0 && !IsFlagged(static_cast<size_t>(p->scan_slot))) {
-      StoreKey(static_cast<size_t>(p->scan_slot), KeyOf(*p));
-    }
-  });
-}
-
-Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
-  meter.ChargeEntry();
-  meter.ChargeLock();
-
+Task* LinuxScheduler::PickNext(int this_cpu, Task* prev, CostMeter& meter) {
   const MmStruct* this_mm = prev != nullptr ? prev->mm : nullptr;
   // prev is on a CPU and about to change (prev_goodness(), RR refresh).
   FlagMaybeOnCpu(prev);
@@ -285,15 +263,20 @@ Task* LinuxScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
     // was the only choice). An *empty* run queue leaves c at -1000 and
     // schedules the idle task instead (paper footnote 1).
     if (c == 0) {
-      meter.ChargeRecalc(all_tasks_->size());
-      RecalculateCounters();
+      // Queued tasks are re-keyed on the way past, except flagged ones,
+      // which are re-keyed once they are off their CPU; a queued task outside
+      // all_tasks_ (exiting, its last schedule() in flight) keeps its counter
+      // and so its key.
+      RecalculateCounters(meter, [this](Task* p) {
+        if (p->scan_slot >= 0 && !IsFlagged(static_cast<size_t>(p->scan_slot))) {
+          StoreKey(static_cast<size_t>(p->scan_slot), KeyOf(*p));
+        }
+      });
       continue;
     }
 
-    meter.ChargeFinish();
     // The pick takes a CPU; the Machine sets has_cpu and processor next.
     FlagMaybeOnCpu(next);
-    RecordPick(this_cpu, prev, next, meter);
     return next;
   }
 }
@@ -327,7 +310,7 @@ void LinuxScheduler::CheckInvariants() const {
   // live ones must be sentinel padding; a flagged live slot must hold the
   // sentinel key and its task must be in flagged_ exactly once, and nothing
   // else may be; every unflagged slot must be off-CPU with a key that
-  // matches its task (the properties the Schedule() equivalence relies on).
+  // matches its task (the properties the PickNext() equivalence relies on).
   const size_t size = groups_.size() * kLanes;
   ELSC_VERIFY_MSG(nr_running_ <= size, "scan mirror smaller than the run queue");
   for (size_t slot = nr_running_; slot < size; ++slot) {

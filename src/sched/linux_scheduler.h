@@ -22,21 +22,17 @@
 
 namespace elsc {
 
-class LinuxScheduler : public Scheduler {
+class LinuxScheduler : public PolicyScheduler<LinuxScheduler> {
  public:
   LinuxScheduler(const CostModel& cost_model, TaskList* all_tasks, const SchedulerConfig& config)
-      : Scheduler(cost_model, all_tasks, config) {
+      : PolicyScheduler(cost_model, all_tasks, config) {
     InitListHead(&runqueue_head_);
   }
 
   const char* name() const override { return "linux-2.3.99"; }
 
-  void AddToRunQueue(Task* task) override;
-  void DelFromRunQueue(Task* task) override;
   void MoveFirstRunQueue(Task* task) override;
   void MoveLastRunQueue(Task* task) override;
-
-  Task* Schedule(int this_cpu, Task* prev, CostMeter& meter) override;
 
   void CheckInvariants() const override;
 
@@ -48,8 +44,10 @@ class LinuxScheduler : public Scheduler {
   std::vector<const Task*> QueueSnapshot() const;
 
  private:
-  // Recalculates every task's counter: p->counter = p->counter/2 + priority.
-  void RecalculateCounters();
+  friend class PolicyScheduler<LinuxScheduler>;
+  void Enqueue(Task* task);
+  void Dequeue(Task* task);
+  Task* PickNext(int this_cpu, Task* prev, CostMeter& meter);
 
   // can_schedule(): a task already executing on a processor cannot be picked.
   // (The previous task keeps has_cpu == 1 while schedule() runs, so the
@@ -65,7 +63,7 @@ class LinuxScheduler : public Scheduler {
   // chasing list nodes and loading every candidate's task_struct. Host-time
   // only: the examine count, the recalculations and the picked task are
   // provably identical to the list walk (see the equivalence argument in
-  // Schedule()).
+  // PickNext()).
   //
   // Slot i < nr_running_ holds one queued task; Task::scan_slot points back
   // at it, and a delete swap-pops the last slot into the hole. A slot is 32
@@ -180,6 +178,8 @@ class LinuxScheduler : public Scheduler {
   int64_t front_stamp_ = 0;     // Last stamp minted for a front insert.
   int64_t back_stamp_ = 0;      // Last stamp minted for a tail move.
 };
+
+extern template class PolicyScheduler<LinuxScheduler>;  // In linux_scheduler.cc.
 
 }  // namespace elsc
 

@@ -9,9 +9,11 @@
 
 namespace elsc {
 
+template class PolicyScheduler<MultiQueueScheduler>;
+
 MultiQueueScheduler::MultiQueueScheduler(const CostModel& cost_model, TaskList* all_tasks,
                                          const SchedulerConfig& config)
-    : Scheduler(cost_model, all_tasks, config) {
+    : PolicyScheduler(cost_model, all_tasks, config) {
   queues_.resize(static_cast<size_t>(config.num_cpus));
   sizes_.assign(queues_.size(), 0);
   for (auto& queue : queues_) {
@@ -21,35 +23,22 @@ MultiQueueScheduler::MultiQueueScheduler(const CostModel& cost_model, TaskList* 
   steal_order_.reserve(queues_.size());
 }
 
-int MultiQueueScheduler::HomeQueue(const Task& task) const {
-  const int cpu = task.processor;
-  return cpu >= 0 && cpu < config_.num_cpus ? cpu : 0;
-}
-
-void MultiQueueScheduler::AddToRunQueue(Task* task) {
-  ELSC_VERIFY_MSG(!task->OnRunQueue(), "add_to_runqueue: task already on run queue");
-  const int q = HomeQueue(*task);
+void MultiQueueScheduler::Insert(Task* task, int q) {
   ListAdd(&task->run_list, &queues_[static_cast<size_t>(q)].head);
   task->run_list_index = q;
   ++sizes_[static_cast<size_t>(q)];
   nonempty_.Set(q);
-  ++nr_running_;
-  ++stats_.wakeups;
 }
 
-void MultiQueueScheduler::DelFromRunQueue(Task* task) {
-  ELSC_VERIFY_MSG(task->OnRunQueue(), "del_from_runqueue: task not on run queue");
+void MultiQueueScheduler::Dequeue(Task* task) {
   const int q = task->run_list_index;
   ELSC_VERIFY(q >= 0 && q < config_.num_cpus);
   ListDel(&task->run_list);
-  task->run_list.next = nullptr;
-  task->run_list.prev = nullptr;
   task->run_list_index = -1;
   ELSC_VERIFY(sizes_[static_cast<size_t>(q)] > 0);
   if (--sizes_[static_cast<size_t>(q)] == 0) {
     nonempty_.Clear(q);
   }
-  --nr_running_;
 }
 
 void MultiQueueScheduler::MoveFirstRunQueue(Task* task) {
@@ -60,10 +49,6 @@ void MultiQueueScheduler::MoveFirstRunQueue(Task* task) {
 void MultiQueueScheduler::MoveLastRunQueue(Task* task) {
   ELSC_VERIFY(task->OnRunQueue());
   ListMoveTail(&task->run_list, &queues_[static_cast<size_t>(task->run_list_index)].head);
-}
-
-void MultiQueueScheduler::RecalculateCounters() {
-  all_tasks_->ForEach([](Task* p) { p->counter = (p->counter >> 1) + p->priority; });
 }
 
 Task* MultiQueueScheduler::SearchQueue(int q, int this_cpu, const MmStruct* this_mm,
@@ -87,10 +72,7 @@ Task* MultiQueueScheduler::SearchQueue(int q, int this_cpu, const MmStruct* this
   return best;
 }
 
-Task* MultiQueueScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
-  meter.ChargeEntry();
-  meter.ChargeLock();  // The CPU's own queue lock (uncontended by design).
-
+Task* MultiQueueScheduler::PickNext(int this_cpu, Task* prev, CostMeter& meter) {
   const MmStruct* this_mm = prev != nullptr ? prev->mm : nullptr;
 
   bool rr_expired = false;
@@ -124,8 +106,6 @@ Task* MultiQueueScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) 
     }
 
     if (c > 0) {
-      meter.ChargeFinish();
-      RecordPick(this_cpu, prev, next, meter);
       return next;
     }
 
@@ -170,33 +150,23 @@ Task* MultiQueueScheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) 
     }
 
     if (stolen != nullptr) {
-      // Migrate the task to this CPU's queue; the dispatch path updates its
-      // processor field.
-      DelFromRunQueue(stolen);
-      // Re-home manually (AddToRunQueue would use the stale processor).
-      ListAdd(&stolen->run_list, &queues_[static_cast<size_t>(this_cpu)].head);
-      stolen->run_list_index = this_cpu;
-      ++sizes_[static_cast<size_t>(this_cpu)];
-      nonempty_.Set(this_cpu);
-      ++nr_running_;
+      // Migrate the task to this CPU's queue (not its stale home, nor a
+      // wakeup); the dispatch path updates its processor field.
+      Dequeue(stolen);
+      Insert(stolen, this_cpu);
       ++steals_;
       meter.ChargeIndex();
-      meter.ChargeFinish();
-      RecordPick(this_cpu, prev, stolen, meter);
       return stolen;
     }
 
     // Exhausted candidates exist (here or elsewhere) but nothing has a
     // positive goodness: recalculate, exactly like the stock scheduler.
     if (c == 0 || any_runnable_elsewhere) {
-      meter.ChargeRecalc(all_tasks_->size());
-      RecalculateCounters();
+      RecalculateCounters(meter);
       continue;
     }
 
     // Truly nothing to run.
-    meter.ChargeFinish();
-    RecordPick(this_cpu, prev, nullptr, meter);
     return nullptr;
   }
 }

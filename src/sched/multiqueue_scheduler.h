@@ -24,7 +24,7 @@
 
 namespace elsc {
 
-class MultiQueueScheduler : public Scheduler {
+class MultiQueueScheduler : public PolicyScheduler<MultiQueueScheduler> {
  public:
   MultiQueueScheduler(const CostModel& cost_model, TaskList* all_tasks,
                       const SchedulerConfig& config);
@@ -33,12 +33,8 @@ class MultiQueueScheduler : public Scheduler {
 
   bool uses_global_lock() const override { return false; }
 
-  void AddToRunQueue(Task* task) override;
-  void DelFromRunQueue(Task* task) override;
   void MoveFirstRunQueue(Task* task) override;
   void MoveLastRunQueue(Task* task) override;
-
-  Task* Schedule(int this_cpu, Task* prev, CostMeter& meter) override;
 
   void CheckInvariants() const override;
 
@@ -53,16 +49,19 @@ class MultiQueueScheduler : public Scheduler {
     ListHead head;
   };
 
-  // Queue a task belongs to; wakeups follow the task's last processor.
-  int HomeQueue(const Task& task) const;
+  friend class PolicyScheduler<MultiQueueScheduler>;
+  void Enqueue(Task* task) { Insert(task, HomeCpu(*task)); }
+  void Dequeue(Task* task);
+  Task* PickNext(int this_cpu, Task* prev, CostMeter& meter);
+
+  // Links `task` at the front of queue `q`.
+  void Insert(Task* task, int q);
 
   // Best schedulable candidate in queue `q` from `this_cpu`'s viewpoint, or
   // nullptr. Returns the stock scheduler's pick rule (max goodness, front
   // wins ties); sets *best_weight.
   Task* SearchQueue(int q, int this_cpu, const MmStruct* this_mm, CostMeter& meter,
                     long* best_weight) const;
-
-  void RecalculateCounters();
 
   std::vector<PerCpu> queues_;
   std::vector<size_t> sizes_;
@@ -77,6 +76,8 @@ class MultiQueueScheduler : public Scheduler {
   std::vector<int> steal_order_;
   uint64_t steals_ = 0;
 };
+
+extern template class PolicyScheduler<MultiQueueScheduler>;  // In multiqueue_scheduler.cc.
 
 }  // namespace elsc
 

@@ -6,9 +6,11 @@
 
 namespace elsc {
 
+template class PolicyScheduler<O1Scheduler>;
+
 O1Scheduler::O1Scheduler(const CostModel& cost_model, TaskList* all_tasks,
                          const SchedulerConfig& config)
-    : Scheduler(cost_model, all_tasks, config) {
+    : PolicyScheduler(cost_model, all_tasks, config) {
   queues_.resize(static_cast<size_t>(config.num_cpus));
   for (RunQueue& rq : queues_) {
     for (PrioArray& arr : rq.arrays) {
@@ -33,12 +35,7 @@ int O1Scheduler::PrioIndexOf(const Task& task) {
   return static_cast<int>(100 + (kMaxPriority - p));  // prio 40 -> 100, 1 -> 139.
 }
 
-int O1Scheduler::HomeCpu(const Task& task) const {
-  const int cpu = task.processor;
-  return cpu >= 0 && cpu < config_.num_cpus ? cpu : 0;
-}
-
-void O1Scheduler::Enqueue(Task* task, int cpu, int slot, bool tail) {
+void O1Scheduler::Insert(Task* task, int cpu, int slot, bool tail) {
   const int prio = PrioIndexOf(*task);
   PrioArray& arr = queues_[static_cast<size_t>(cpu)].arrays[slot];
   if (tail) {
@@ -59,8 +56,6 @@ void O1Scheduler::Dequeue(Task* task) {
   ELSC_VERIFY(cpu >= 0 && cpu < config_.num_cpus && slot >= 0 && slot < kNumArrays);
   PrioArray& arr = queues_[static_cast<size_t>(cpu)].arrays[slot];
   ListDel(&task->run_list);
-  task->run_list.next = nullptr;
-  task->run_list.prev = nullptr;
   task->run_list_index = -1;
   ELSC_VERIFY(arr.count > 0);
   --arr.count;
@@ -69,26 +64,16 @@ void O1Scheduler::Dequeue(Task* task) {
   }
 }
 
-void O1Scheduler::AddToRunQueue(Task* task) {
-  ELSC_VERIFY_MSG(!task->OnRunQueue(), "add_to_runqueue: task already on run queue");
+void O1Scheduler::Enqueue(Task* task) {
   const int cpu = HomeCpu(*task);
-  RunQueue& rq = queues_[static_cast<size_t>(cpu)];
   // A SCHED_OTHER task arriving with an exhausted quantum (fork child of a
   // drained parent, re-filed expired task) waits for the next epoch in the
   // expired array; everything else enqueues at the tail of the active array.
-  int slot = rq.active;
+  int slot = queues_[static_cast<size_t>(cpu)].active;
   if (!PolicyIsRealtime(task->policy) && task->counter == 0) {
     slot ^= 1;
   }
-  Enqueue(task, cpu, slot, /*tail=*/true);
-  ++nr_running_;
-  ++stats_.wakeups;
-}
-
-void O1Scheduler::DelFromRunQueue(Task* task) {
-  ELSC_VERIFY_MSG(task->OnRunQueue(), "del_from_runqueue: task not on run queue");
-  Dequeue(task);
-  --nr_running_;
+  Insert(task, cpu, slot, /*tail=*/true);
 }
 
 void O1Scheduler::MoveFirstRunQueue(Task* task) {
@@ -194,15 +179,13 @@ bool O1Scheduler::LoadBalance(int this_cpu, bool idle, CostMeter& meter) {
   }
   // Migrate into this CPU's active array; the dispatch path re-stamps the
   // task's processor field.
-  Enqueue(pulled, this_cpu, queues_[static_cast<size_t>(this_cpu)].active, /*tail=*/true);
+  Insert(pulled, this_cpu, queues_[static_cast<size_t>(this_cpu)].active, /*tail=*/true);
   ++stats_.pull_migrations;
   meter.ChargeIndex();
   return true;
 }
 
-Task* O1Scheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
-  meter.ChargeEntry();
-  meter.ChargeLock();  // This CPU's own run-queue lock.
+Task* O1Scheduler::PickNext(int this_cpu, Task* prev, CostMeter& meter) {
   RunQueue& rq = queues_[static_cast<size_t>(this_cpu)];
   ++rq.picks;
 
@@ -224,7 +207,7 @@ Task* O1Scheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
         // runs again when the epoch turns over (array swap).
         prev->counter = prev->priority;
         Dequeue(prev);
-        Enqueue(prev, this_cpu, rq.active ^ 1, /*tail=*/true);
+        Insert(prev, this_cpu, rq.active ^ 1, /*tail=*/true);
         meter.ChargeIndex();
       }
       // SCHED_FIFO runs until it blocks or yields; counter is not used.
@@ -239,7 +222,7 @@ Task* O1Scheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
       DecodeIndex(prev->run_list_index, &pcpu, &pslot, &pprio);
       if (pprio != PrioIndexOf(*prev)) {
         Dequeue(prev);
-        Enqueue(prev, pcpu, pslot, /*tail=*/true);
+        Insert(prev, pcpu, pslot, /*tail=*/true);
         meter.ChargeIndex();
       }
     }
@@ -269,8 +252,6 @@ Task* O1Scheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
         // swap or pull) starts its new timeslice now.
         next->counter = next->priority;
       }
-      meter.ChargeFinish();
-      RecordPick(this_cpu, prev, next, meter);
       return next;
     }
 
@@ -281,8 +262,6 @@ Task* O1Scheduler::Schedule(int this_cpu, Task* prev, CostMeter& meter) {
         continue;
       }
     }
-    meter.ChargeFinish();
-    RecordPick(this_cpu, prev, nullptr, meter);
     return nullptr;
   }
 }

@@ -34,7 +34,7 @@
 
 namespace elsc {
 
-class O1Scheduler : public Scheduler {
+class O1Scheduler : public PolicyScheduler<O1Scheduler> {
  public:
   // 100 real-time levels + 40 SCHED_OTHER levels, lower index = more urgent.
   static constexpr int kPrioLevels = 140;
@@ -48,12 +48,8 @@ class O1Scheduler : public Scheduler {
 
   bool uses_global_lock() const override { return false; }
 
-  void AddToRunQueue(Task* task) override;
-  void DelFromRunQueue(Task* task) override;
   void MoveFirstRunQueue(Task* task) override;
   void MoveLastRunQueue(Task* task) override;
-
-  Task* Schedule(int this_cpu, Task* prev, CostMeter& meter) override;
 
   // Wakeup preemption, 2.6-style: only the woken task's own queue CPU is a
   // preemption target (resched_task(task_rq(p)->curr)), decided by priority
@@ -102,11 +98,15 @@ class O1Scheduler : public Scheduler {
     *cpu = rest / kNumArrays;
   }
 
-  int HomeCpu(const Task& task) const;
-  // Raw enqueue/dequeue: maintain list + bitmap + array count (not
-  // nr_running_, which only Add/Del adjust).
-  void Enqueue(Task* task, int cpu, int slot, bool tail);
+  friend class PolicyScheduler<O1Scheduler>;
+  void Enqueue(Task* task);
+  // Unfiles `task` from its priority list: list + bitmap + array count.
   void Dequeue(Task* task);
+  Task* PickNext(int this_cpu, Task* prev, CostMeter& meter);
+
+  // Files `task` in (cpu, array slot) at its priority list. A move between
+  // lists or CPUs is Dequeue() then Insert(), not a wakeup.
+  void Insert(Task* task, int cpu, int slot, bool tail);
   // First pickable task in `arr` (front of the lowest populated list,
   // skipping tasks executing elsewhere), or nullptr.
   Task* FindFirst(PrioArray& arr, const Task* prev, CostMeter& meter) const;
@@ -115,11 +115,13 @@ class O1Scheduler : public Scheduler {
   // pull one task into this CPU's active array. Returns true if a task moved.
   bool LoadBalance(int this_cpu, bool idle, CostMeter& meter);
   // Most-urgent pullable task in `src`'s queue (expired array first), or
-  // nullptr. Dequeues the task; the caller re-enqueues it at home.
+  // nullptr. Dequeues the task; the caller re-inserts it at home.
   Task* PullTask(int src, CostMeter& meter);
 
   std::vector<RunQueue> queues_;
 };
+
+extern template class PolicyScheduler<O1Scheduler>;  // In o1_scheduler.cc.
 
 }  // namespace elsc
 

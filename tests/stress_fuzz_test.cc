@@ -207,25 +207,38 @@ TEST_P(StressFuzzTest, FullChaosSweepHoldsEveryAuditedInvariant) {
 // ceiling and the sweep above. With this many CPUs most runnable tasks sit
 // on a processor at any moment, which is where has_cpu filtering, per-CPU
 // queues and cross-CPU wakeups are stressed hardest. The population grows
-// with the CPU count so every CPU has work.
+// with the CPU count so every CPU has work. Each backend and CPU count runs
+// three seeds: the first case keeps its original name and seed, the two
+// extra ones carry their seed in the name.
 struct WideSmpCase {
   SchedulerKind kind;
   int cpus;
+  int extra;  // 0 for the original seed, 1 and 2 for the extra seeds.
+  uint64_t seed() const {
+    return static_cast<uint64_t>(cpus) * 101 + static_cast<uint64_t>(kind) +
+           static_cast<uint64_t>(extra) * 1000;
+  }
 };
 
 std::vector<WideSmpCase> WideSmpCases() {
   std::vector<WideSmpCase> cases;
-  for (SchedulerKind kind : {SchedulerKind::kLinux, SchedulerKind::kElsc, SchedulerKind::kO1,
-                             SchedulerKind::kMultiQueue, SchedulerKind::kHeap}) {
-    for (int cpus : {8, 16, 64}) {
-      cases.push_back({kind, cpus});
+  for (int extra : {0, 1, 2}) {
+    for (SchedulerKind kind : {SchedulerKind::kLinux, SchedulerKind::kElsc, SchedulerKind::kO1,
+                               SchedulerKind::kMultiQueue, SchedulerKind::kHeap}) {
+      for (int cpus : {8, 16, 64}) {
+        cases.push_back({kind, cpus, extra});
+      }
     }
   }
   return cases;
 }
 
 std::string WideSmpName(const WideSmpCase& c) {
-  return std::string(SchedulerKindName(c.kind)) + "_cpus" + std::to_string(c.cpus);
+  std::string name = std::string(SchedulerKindName(c.kind)) + "_cpus" + std::to_string(c.cpus);
+  if (c.extra != 0) {
+    name += "_seed" + std::to_string(c.seed());
+  }
+  return name;
 }
 
 class WideSmpFuzzTest : public ::testing::TestWithParam<WideSmpCase> {};
@@ -235,7 +248,7 @@ INSTANTIATE_TEST_SUITE_P(WideSmp, WideSmpFuzzTest, ::testing::ValuesIn(WideSmpCa
 
 TEST_P(WideSmpFuzzTest, FullChaosHoldsEveryAuditedInvariant) {
   const WideSmpCase wide = GetParam();
-  const uint64_t seed = static_cast<uint64_t>(wide.cpus) * 101 + static_cast<uint64_t>(wide.kind);
+  const uint64_t seed = wide.seed();
   SCOPED_TRACE("repro: --gtest_filter='WideSmp/WideSmpFuzzTest.*/" + WideSmpName(wide) +
                "' (scheduler=" + SchedulerKindName(wide.kind) +
                " cpus=" + std::to_string(wide.cpus) + " seed=" + std::to_string(seed) + ")");
