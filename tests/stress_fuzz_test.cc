@@ -207,51 +207,36 @@ TEST_P(StressFuzzTest, FullChaosSweepHoldsEveryAuditedInvariant) {
 // ceiling and the sweep above. With this many CPUs most runnable tasks sit
 // on a processor at any moment, which is where has_cpu filtering, per-CPU
 // queues and cross-CPU wakeups are stressed hardest. The population grows
-// with the CPU count so every CPU has work. Each backend and CPU count runs
-// three seeds: the first case keeps its original name and seed, the two
-// extra ones carry their seed in the name.
+// with the CPU count so every CPU has work.
 struct WideSmpCase {
   SchedulerKind kind;
   int cpus;
-  int extra;  // 0 for the original seed, 1 and 2 for the extra seeds.
-  uint64_t seed() const {
-    return static_cast<uint64_t>(cpus) * 101 + static_cast<uint64_t>(kind) +
-           static_cast<uint64_t>(extra) * 1000;
-  }
 };
 
 std::vector<WideSmpCase> WideSmpCases() {
   std::vector<WideSmpCase> cases;
-  for (int extra : {0, 1, 2}) {
-    for (SchedulerKind kind : {SchedulerKind::kLinux, SchedulerKind::kElsc, SchedulerKind::kO1,
-                               SchedulerKind::kMultiQueue, SchedulerKind::kHeap}) {
-      for (int cpus : {8, 16, 64}) {
-        cases.push_back({kind, cpus, extra});
-      }
+  for (SchedulerKind kind : {SchedulerKind::kLinux, SchedulerKind::kElsc, SchedulerKind::kO1,
+                             SchedulerKind::kMultiQueue, SchedulerKind::kHeap}) {
+    for (int cpus : {8, 16, 64}) {
+      cases.push_back({kind, cpus});
     }
   }
   return cases;
 }
 
 std::string WideSmpName(const WideSmpCase& c) {
-  std::string name = std::string(SchedulerKindName(c.kind)) + "_cpus" + std::to_string(c.cpus);
-  if (c.extra != 0) {
-    name += "_seed" + std::to_string(c.seed());
-  }
-  return name;
+  return std::string(SchedulerKindName(c.kind)) + "_cpus" + std::to_string(c.cpus);
 }
 
-class WideSmpFuzzTest : public ::testing::TestWithParam<WideSmpCase> {};
+uint64_t WideSmpSeed(const WideSmpCase& c) {
+  return static_cast<uint64_t>(c.cpus) * 101 + static_cast<uint64_t>(c.kind);
+}
 
-INSTANTIATE_TEST_SUITE_P(WideSmp, WideSmpFuzzTest, ::testing::ValuesIn(WideSmpCases()),
-                         [](const auto& info) { return WideSmpName(info.param); });
-
-TEST_P(WideSmpFuzzTest, FullChaosHoldsEveryAuditedInvariant) {
-  const WideSmpCase wide = GetParam();
-  const uint64_t seed = wide.seed();
-  SCOPED_TRACE("repro: --gtest_filter='WideSmp/WideSmpFuzzTest.*/" + WideSmpName(wide) +
-               "' (scheduler=" + SchedulerKindName(wide.kind) +
-               " cpus=" + std::to_string(wide.cpus) + " seed=" + std::to_string(seed) + ")");
+// One wide-SMP chaos run; `repro` is the gtest filter that reruns this case.
+void RunWideSmpChaos(const WideSmpCase& wide, uint64_t seed, const std::string& repro) {
+  SCOPED_TRACE("repro: --gtest_filter='" + repro + "' (scheduler=" +
+               SchedulerKindName(wide.kind) + " cpus=" + std::to_string(wide.cpus) +
+               " seed=" + std::to_string(seed) + ")");
   Rng rng(seed);
   MachineConfig config;
   config.num_cpus = wide.cpus;
@@ -298,6 +283,48 @@ TEST_P(WideSmpFuzzTest, FullChaosHoldsEveryAuditedInvariant) {
   EXPECT_GT(run.stats.faults.storm_bursts, 0u);
   EXPECT_GT(run.stats.faults.spurious_wakes, 0u);
   EXPECT_GT(run.stats.faults.lock_stalls, 0u);
+}
+
+class WideSmpFuzzTest : public ::testing::TestWithParam<WideSmpCase> {};
+
+INSTANTIATE_TEST_SUITE_P(WideSmp, WideSmpFuzzTest, ::testing::ValuesIn(WideSmpCases()),
+                         [](const auto& info) { return WideSmpName(info.param); });
+
+TEST_P(WideSmpFuzzTest, FullChaosHoldsEveryAuditedInvariant) {
+  const WideSmpCase wide = GetParam();
+  RunWideSmpChaos(wide, WideSmpSeed(wide),
+                  "WideSmp/WideSmpFuzzTest.*/" + WideSmpName(wide));
+}
+
+// The same wide cases under two more seeds each, named by their seed.
+struct WideSmpSeedCase {
+  WideSmpCase wide;
+  uint64_t seed;
+};
+
+std::vector<WideSmpSeedCase> WideSmpSeedCases() {
+  std::vector<WideSmpSeedCase> cases;
+  for (uint64_t offset : {1000, 2000}) {
+    for (const WideSmpCase& wide : WideSmpCases()) {
+      cases.push_back({wide, WideSmpSeed(wide) + offset});
+    }
+  }
+  return cases;
+}
+
+std::string WideSmpSeedName(const WideSmpSeedCase& c) {
+  return WideSmpName(c.wide) + "_seed" + std::to_string(c.seed);
+}
+
+class WideSmpSeedFuzzTest : public ::testing::TestWithParam<WideSmpSeedCase> {};
+
+INSTANTIATE_TEST_SUITE_P(WideSmpSeeds, WideSmpSeedFuzzTest,
+                         ::testing::ValuesIn(WideSmpSeedCases()),
+                         [](const auto& info) { return WideSmpSeedName(info.param); });
+
+TEST_P(WideSmpSeedFuzzTest, FullChaosHoldsEveryAuditedInvariant) {
+  const WideSmpSeedCase& c = GetParam();
+  RunWideSmpChaos(c.wide, c.seed, "WideSmpSeeds/WideSmpSeedFuzzTest.*/" + WideSmpSeedName(c));
 }
 
 }  // namespace
