@@ -517,6 +517,8 @@ class Federation {
  private:
   std::unique_ptr<ScaleNode> MakeNode(int index);
   bool ReplayNode(ScaleNode* node, const CkptNode& cn);
+  template <typename Visit>
+  bool ClaimEach(size_t end, const Visit& visit);
   bool StepWindow(Cycles barrier);
   void CrashAndRestart(Cycles barrier);
   void SampleMemory();
@@ -556,7 +558,8 @@ Federation::Federation(const ScaleConfig& config, int shards,
       armed_(config.faults.Enabled()),
       wall_budget_(ResolveWindowBudget(config)),
       router_(num_nodes_, config.window, latency_),
-      nodes_(static_cast<size_t>(num_nodes_)) {
+      nodes_(static_cast<size_t>(num_nodes_)),
+      pool_(shards > 1 ? std::make_unique<ThreadPool>(shards - 1) : nullptr) {
   if (armed_) {
     router_.ArmFaults(&config.faults);
   }
@@ -602,6 +605,11 @@ void Federation::Build() {
 
 // Installs one decoded checkpoint: the aggregate and loop state verbatim,
 // down nodes as recorded, live nodes by replay. False on any inconsistency.
+// Pass 1 makes and boots every node serially on this thread, so node memory
+// lands in the main malloc arena: booting on pool threads put it in their
+// per-thread arenas and raised the process's peak RSS. Pass 2 replays the
+// live nodes on the shard pool; ReplayNode touches only its own node, so any
+// assignment of nodes to threads yields the same nodes.
 bool Federation::Restore(const ScaleCheckpoint& c) {
   static_cast<ScaleTotals&>(run_) = c.totals;
   if (!DecodeRunStats(c.agg_stats, &run_.stats)) {
@@ -642,15 +650,41 @@ bool Federation::Restore(const ScaleCheckpoint& c) {
         return false;
       }
       BootNode(node.get());
-      if (!ReplayNode(node.get(), cn)) {
-        return false;
-      }
-      node->arrival_log = cn.arrivals;  // The next segment still needs it.
     }
     nodes_[static_cast<size_t>(cn.index)] = std::move(node);
     ++live_;
   }
-  return live_ > 0;
+  if (live_ == 0) {
+    return false;
+  }
+  // One slot per checkpointed node: the claiming threads never share one.
+  std::vector<uint8_t> verified(c.nodes.size(), 1);
+  const bool in_time = ClaimEach(c.nodes.size(), [&](size_t i) {
+    const CkptNode& cn = c.nodes[i];
+    ScaleNode* node = nodes_[static_cast<size_t>(cn.index)].get();
+    if (!node->down) {
+      verified[i] = ReplayNode(node, cn) ? 1 : 0;
+    }
+  });
+  if (!in_time) {
+    // A host-time failure, not a bad segment: fail the run, keep the segment.
+    FoldFailed("watchdog",
+               StrFormat("federation watchdog: restore replay to window %llu "
+                         "exceeded %.3fs wall-clock",
+                         static_cast<unsigned long long>(loop_.window_index),
+                         wall_budget_));
+    return true;
+  }
+  if (std::find(verified.begin(), verified.end(), uint8_t{0}) != verified.end()) {
+    return false;
+  }
+  for (const CkptNode& cn : c.nodes) {
+    ScaleNode* node = nodes_[static_cast<size_t>(cn.index)].get();
+    if (!node->down) {
+      node->arrival_log = cn.arrivals;  // The next segment still needs it.
+    }
+  }
+  return true;
 }
 
 // Reconstructs a live node by deterministic replay of its current
@@ -666,6 +700,13 @@ bool Federation::ReplayNode(ScaleNode* node, const CkptNode& cn) {
   const uint64_t boot_window =
       node->life.incarnation == 0 ? 0 : node->life.restart_window;
   FabricRouter replay_router(num_nodes_, config_.window, latency_);
+  // Points the node back at the federation's router however replay exits,
+  // a watchdog trip included.
+  struct RouterRestore {
+    ScaleNode* node;
+    FabricRouter* router;
+    ~RouterRestore() { node->router = router; }
+  } restore{node, node->router};
   if (gossip_) {
     node->router = &replay_router;
   }
@@ -700,9 +741,6 @@ bool Federation::ReplayNode(ScaleNode* node, const CkptNode& cn) {
       node->inbox->Close(*node->machine);
     }
   }
-  if (gossip_) {
-    node->router = &router_;
-  }
   if (cursor != cn.arrivals.size()) {
     return false;  // An arrival tagged past the checkpoint window: corrupt.
   }
@@ -713,9 +751,6 @@ bool Federation::ReplayNode(ScaleNode* node, const CkptNode& cn) {
 // every live node runs to the barrier, then the coordinator (this thread,
 // no shard running) applies the barrier's phases in a fixed order.
 ScaleRun Federation::Run() {
-  if (shards_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(shards_ - 1);
-  }
   while (live_ > 0) {
     ++loop_.window_index;
     const Cycles barrier = static_cast<Cycles>(loop_.window_index) * config_.window;
@@ -758,27 +793,24 @@ ScaleRun Federation::Run() {
   return run_;
 }
 
-// Advances every live node to the barrier. The coordinator and the pool's
-// shards_ - 1 workers each take the next node index from one shared cursor
-// until it passes the end, so a busy or late-waking thread simply claims
-// fewer nodes. Any assignment yields identical results: nodes only interact
-// through the fabric, drained at the barrier. Every claiming thread arms a
-// per-window wall-clock watchdog: false means a livelocked node tripped it.
-bool Federation::StepWindow(Cycles barrier) {
-  const size_t end = nodes_.size();
+// Calls visit(i) once for every i in [0, end): the coordinator and the
+// pool's shards_ - 1 workers each take the next index from one shared
+// cursor until it passes the end, so a busy or late-waking thread simply
+// claims fewer. Callers pass per-node work, so any assignment yields
+// identical results. Every claiming thread arms the wall-clock watchdog;
+// false means it tripped.
+template <typename Visit>
+bool Federation::ClaimEach(size_t end, const Visit& visit) {
   std::atomic<size_t> cursor{0};
-  const auto claim_nodes = [this, barrier, end, &cursor] {
+  const auto claim = [this, end, &visit, &cursor] {
     std::optional<CellWatchdog> dog;
     if (wall_budget_ > 0.0) {
       dog.emplace(wall_budget_);
     }
     try {
-      for (size_t n = cursor.fetch_add(1, std::memory_order_relaxed); n < end;
-           n = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        ScaleNode* node = nodes_[n].get();
-        if (node != nullptr && !node->down) {
-          node->machine->engine().RunUntil(barrier - node->life.clock_offset);
-        }
+      for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < end;
+           i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        visit(i);
       }
     } catch (...) {
       cursor.store(end, std::memory_order_relaxed);  // No further claims.
@@ -787,13 +819,13 @@ bool Federation::StepWindow(Cycles barrier) {
   };
   try {
     for (int w = 1; w < shards_; ++w) {
-      pool_->Submit([&claim_nodes] { claim_nodes(); });
+      pool_->Submit([&claim] { claim(); });
     }
     try {
-      claim_nodes();
+      claim();
     } catch (...) {
-      // The cursor and claim_nodes live on this frame, so the workers must
-      // be done before it unwinds. This thread's exception wins over theirs.
+      // The cursor and claim live on this frame, so the workers must be
+      // done before it unwinds. This thread's exception wins over theirs.
       if (pool_ != nullptr) {
         try {
           pool_->Wait();
@@ -812,6 +844,18 @@ bool Federation::StepWindow(Cycles barrier) {
     return false;
   }
   return true;
+}
+
+// Advances every live node to the barrier. Nodes only interact through the
+// fabric, drained at the barrier. False means a livelocked node tripped the
+// per-window watchdog.
+bool Federation::StepWindow(Cycles barrier) {
+  return ClaimEach(nodes_.size(), [this, barrier](size_t n) {
+    ScaleNode* node = nodes_[n].get();
+    if (node != nullptr && !node->down) {
+      node->machine->engine().RunUntil(barrier - node->life.clock_offset);
+    }
+  });
 }
 
 // Failure plan at this barrier. Step 1 — crashes scheduled for this window:
@@ -1178,6 +1222,8 @@ void Federation::Finish() {
 // torn, checksum-failed, wrong scenario, or post-replay verification
 // mismatch — is logged with a one-line repro, the half-restored Federation
 // is discarded, and the next-older segment is tried; null means cold start.
+// A watchdog trip during replay is no rejection: that Federation comes back
+// already failed, and its segment stays.
 std::unique_ptr<Federation> ResumeFromCheckpoint(
     const ScaleConfig& config, int shards, const ScaleCheckpointOptions& ckpt,
     uint64_t config_fp) {

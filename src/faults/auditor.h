@@ -1,5 +1,5 @@
 // SchedulerAuditor: periodically replays a shadow reference model of the run
-// queue and cross-checks the scheduler under test — any of the four ports —
+// queue and cross-checks the scheduler under test — any of the five backends —
 // for invariants, plus a starvation/livelock watchdog.
 //
 // Invariants audited (each counted separately in AuditStats):

@@ -228,6 +228,124 @@ TEST(ScaleCkptTest, ChaosScenarioResumesBitIdentical) {
   }
 }
 
+// ChaosScenarioResumesBitIdentical at 4 shards: four threads share each
+// restore replay, and scripts/ci_sanitize.sh runs this suite.
+TEST(ScaleCkptTest, ChaosScenarioResumesBitIdenticalAtFourShards) {
+  const ScaleRun control = RunShardedVolano(ChaosConfig(), 4);
+  ASSERT_GT(control.windows, 4u);
+  ASSERT_GT(control.node_crashes, 0u);
+  const std::string control_sig = ScaleRunSignature(control);
+  EXPECT_EQ(control_sig, kChaosGoldenSignature);
+
+  for (uint64_t stop = 1; stop < control.windows; ++stop) {
+    ScaleConfig config = ChaosConfig();
+    config.ckpt.path = FreshPrefix(config, "chaos4_w" + std::to_string(stop));
+    config.ckpt.every = 1;
+    config.ckpt.stop_after_window = stop;
+    EXPECT_FALSE(RunShardedVolano(config, 4).completed);
+
+    config.ckpt.stop_after_window = 0;
+    const ScaleRun resumed = RunShardedVolano(config, 4);
+    EXPECT_EQ(ScaleRunSignature(resumed), control_sig) << "stop=" << stop;
+  }
+}
+
+// Post-replay verification has teeth: a segment whose replayed node does
+// not reproduce its stored verification line is rejected, whichever thread
+// replayed that node, even though every other check on it passes. The
+// resumed signature alone cannot show this (the older segment and the
+// tampered one resume to the same answer), so the stderr log is checked for
+// the rejection and for the fallback.
+TEST(ScaleCkptTest, TamperedVerifyLineRejectsTheSegmentAtEveryShardCount) {
+  const std::string control_sig = ScaleRunSignature(RunShardedVolano(TinyConfig(), 1));
+
+  for (const int shards : {1, 2, 4}) {
+    ScaleConfig config = TinyConfig();
+    config.ckpt.path = FreshPrefix(config, "verify_s" + std::to_string(shards));
+    config.ckpt.every = 1;
+    config.ckpt.keep = 2;
+    config.ckpt.stop_after_window = 3;
+    EXPECT_FALSE(RunShardedVolano(config, shards).completed);
+
+    const uint64_t fp = ScaleConfigFingerprint(config);
+    const auto segments = ListCheckpointSegments(config.ckpt.path, fp);
+    ASSERT_EQ(segments.size(), 2u);
+    std::string contents;
+    ASSERT_TRUE(ReadFileToString(segments[0].path, &contents));
+    ScaleCheckpoint c;
+    std::string error;
+    ASSERT_TRUE(DecodeScaleCheckpoint(contents, &c, &error)) << error;
+    // The last live node in index order: replay must check every node, not
+    // stop at the first one.
+    CkptNode* last_live = nullptr;
+    for (CkptNode& cn : c.nodes) {
+      if (cn.state == 1) {
+        last_live = &cn;
+      }
+    }
+    ASSERT_NE(last_live, nullptr);
+    last_live->verify += "|tampered";
+    // Re-encoding re-seals the checksum: only replay can catch this.
+    ASSERT_TRUE(AtomicWriteFile(segments[0].path, EncodeScaleCheckpoint(c), nullptr));
+
+    config.ckpt.stop_after_window = 0;
+    ::testing::internal::CaptureStderr();
+    const ScaleRun resumed = RunShardedVolano(config, shards);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("rejected checkpoint " + segments[0].path +
+                       ": restore verification failed"),
+              std::string::npos)
+        << "shards=" << shards << "\n" << log;
+    EXPECT_NE(log.find("resumed from " + segments[1].path), std::string::npos)
+        << "shards=" << shards << "\n" << log;
+    EXPECT_TRUE(resumed.completed);
+    EXPECT_EQ(ScaleRunSignature(resumed), control_sig) << "shards=" << shards;
+  }
+}
+
+// A wall-clock budget no replay can meet, on a segment written without
+// one: every thread replaying nodes arms the watchdog, and a trip there
+// fails the run like a window trip does. It is a host-time failure, not a
+// bad segment: the segment is neither rejected nor deleted, and the
+// deadline never escapes the federation.
+TEST(ScaleCkptTest, ReplayWatchdogFailsTheRunAndKeepsTheSegment) {
+  // federation_test's stuck-federation shape: enough events per node that
+  // every claiming thread's rate-limited clock check runs during replay.
+  ScaleConfig config;
+  config.rooms = 8;
+  config.rooms_per_node = 2;
+  config.chat.users_per_room = 8;
+  config.chat.messages_per_user = 16;
+  config.window = MsToCycles(200);
+  config.seed = 7;
+  config.window_wall_budget_sec = -1.0;  // Off while writing the segment.
+  config.ckpt.path = FreshPrefix(config, "replay_watchdog");
+  config.ckpt.every = 0;
+  config.ckpt.stop_after_window = 3;
+  EXPECT_FALSE(RunShardedVolano(config, 1).completed);
+  const uint64_t fp = ScaleConfigFingerprint(config);
+  ASSERT_EQ(ListCheckpointSegments(config.ckpt.path, fp).size(), 1u);
+
+  config.ckpt.stop_after_window = 0;
+  config.window_wall_budget_sec = 1e-9;  // Not fingerprinted: same segment.
+  for (const int shards : {1, 2, 4}) {
+    ::testing::internal::CaptureStderr();
+    ScaleRun run;
+    EXPECT_NO_THROW(run = RunShardedVolano(config, shards)) << "shards=" << shards;
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(run.completed) << "shards=" << shards;
+    EXPECT_TRUE(run.stats.failed) << "shards=" << shards;
+    EXPECT_NE(run.stats.failure.find("federation watchdog: restore replay"),
+              std::string::npos)
+        << run.stats.failure;
+    EXPECT_EQ(log.find("rejected checkpoint"), std::string::npos) << log;
+    EXPECT_EQ(log.find("restore verification failed"), std::string::npos) << log;
+    EXPECT_EQ(ListCheckpointSegments(config.ckpt.path, fp).size(), 1u)
+        << "shards=" << shards;
+  }
+  RemoveCheckpointSegments(config.ckpt.path, fp);
+}
+
 TEST(ScaleCkptTest, ResumedRunCanBeStoppedAndResumedAgain) {
   const ScaleRun control = RunShardedVolano(TinyConfig(), 1);
   ASSERT_GT(control.windows, 4u);
